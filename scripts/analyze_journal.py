@@ -10,13 +10,16 @@ Reads one ControllerRound record per line and reports:
   - predicted-vs-actual pause error per mode (the cost model's accuracy)
   - checkpoint volume and recovery totals
   - peak overload backlog
+  - planner cost: optimizer time per round and the share of rounds whose
+    planning stopped at the time budget instead of converging
   - causal attribution: the dominant wave-phase histogram across rounds
     and the top attributed (operator, group) service costs
 
 Exits non-zero on malformed input — every record must carry a valid
 "attribution" object (dominant_phase is "off" when the engine ran without
-wave-phase profiling) — so CI can use it as a schema check. --self-test
-validates the checks themselves against inline pass/fail fixtures.
+wave-phase profiling) and a "plan" object {solve_ms, hit_budget} — so CI
+can use it as a schema check. --self-test validates the checks themselves
+against inline pass/fail fixtures.
 """
 
 import json
@@ -63,11 +66,17 @@ def main(argv):
                 print(f"{path}:{lineno}: invalid JSON: {exc}", file=sys.stderr)
                 return 1
             for key in ("round", "migrations", "decisions", "recovery",
-                        "attribution"):
+                        "attribution", "plan"):
                 if key not in rec:
                     print(f"{path}:{lineno}: missing key '{key}'",
                           file=sys.stderr)
                     return 1
+            plan = rec["plan"]
+            if not isinstance(plan.get("hit_budget"), bool) or not isinstance(
+                    plan.get("solve_ms"), (int, float)):
+                print(f"{path}:{lineno}: malformed plan {plan!r}",
+                      file=sys.stderr)
+                return 1
             phase = rec["attribution"].get("dominant_phase")
             if phase not in VALID_PHASES:
                 print(f"{path}:{lineno}: invalid dominant_phase {phase!r}",
@@ -142,6 +151,16 @@ def main(argv):
     if peak_backlog > 0:
         print(f"peak overload backlog: {fmt_us(peak_backlog)}")
 
+    # Planner cost: a round "hit the budget" when any of its optimizer calls
+    # stopped at time_budget_ms instead of converging.
+    plan_ms = sorted(r["plan"]["solve_ms"] for r in rounds)
+    hit = sum(1 for r in rounds if r["plan"]["hit_budget"])
+    print(f"\nplanner: {sum(plan_ms):.2f}ms total, "
+          f"median {plan_ms[len(plan_ms) // 2]:.3f}ms, "
+          f"max {plan_ms[-1]:.3f}ms per round")
+    print(f"planner hit its time budget: {hit}/{len(rounds)} rounds "
+          f"({hit / len(rounds):.0%})")
+
     # Causal attribution: where did each round's wall time dominantly go,
     # and which (operator, group) pairs carried the service load.
     phase_hist = {}
@@ -193,6 +212,7 @@ def self_test():
         "recovery": {"nodes_failed": 0, "groups_recovered": 0,
                      "pause_us": 0.0, "wall_us": 0.0},
         "backlog_us": [],
+        "plan": {"solve_ms": 0.25, "hit_budget": False},
         "attribution": {"dominant_phase": "service", "dominant_share": 0.8,
                         "wall_ns": 1000,
                         "top_costs": [{"group": 1, "op": 0,
@@ -211,6 +231,9 @@ def self_test():
     lease = dict(valid, migrations={"planned": 1, "applied": 1},
                  decisions=[lease_decision])
     missing = {k: v for k, v in valid.items() if k != "attribution"}
+    no_plan = {k: v for k, v in valid.items() if k != "plan"}
+    bad_plan = dict(valid, plan={"solve_ms": 1.0, "hit_budget": "maybe"})
+    budget_hit = dict(valid, plan={"solve_ms": 10.0, "hit_budget": True})
     bad_phase = dict(valid, attribution={"dominant_phase": "banana"})
     bad_reason = dict(valid,
                       decisions=[dict(lease_decision, reason="vibes")])
@@ -231,8 +254,12 @@ def self_test():
             os.unlink(name)
         return rc
 
-    if run_on([valid, off, lease]) != 0:
+    if run_on([valid, off, lease, budget_hit]) != 0:
         failures.append("valid-journal-accepted")
+    if run_on([no_plan]) == 0:
+        failures.append("missing-plan-rejected")
+    if run_on([bad_plan]) == 0:
+        failures.append("malformed-plan-rejected")
     if run_on([missing]) == 0:
         failures.append("missing-attribution-rejected")
     if run_on([bad_phase]) == 0:

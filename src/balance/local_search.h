@@ -16,10 +16,13 @@ namespace albic::balance {
 
 /// \brief Options for the anytime assignment local search.
 struct LocalSearchOptions {
-  /// Wall-clock budget. The search runs greedy improvement, then swap
-  /// refinement, then perturb-and-reoptimize rounds until the budget is
-  /// exhausted — solution quality improves monotonically with budget,
-  /// mirroring the paper's CPLEX quality-vs-time curves (Figs 2-4).
+  /// Wall-clock cap. The search runs greedy improvement, then swap
+  /// refinement, then perturb-and-reoptimize rounds until it converges —
+  /// as many consecutive kicks as there are items without improving the
+  /// best placement — or until this budget runs out, whichever comes
+  /// first. A larger budget never yields a worse solution, but once the
+  /// search converges inside the budget more time changes nothing: the
+  /// quality-vs-time curves (the paper's Figs 2-4) flatten there.
   double time_budget_ms = 10.0;
   uint64_t seed = 42;
   /// Perturbation strength for the kick phase (fraction of items).
@@ -34,6 +37,9 @@ struct LocalSearchSolution {
   double used_cost = 0.0;      ///< Migration cost consumed.
   int used_count = 0;          ///< Key groups migrated.
   int iterations = 0;          ///< Accepted moves.
+  /// True when the search stopped at time_budget_ms rather than by
+  /// converging; only then can a larger budget change the result.
+  bool hit_budget = false;
 };
 
 /// \brief Anytime local search for the integrated balancing objective.

@@ -106,6 +106,7 @@ Result<RebalancePlan> MilpRebalancer::SolveHeuristic(
   plan.solve_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
+  plan.hit_budget = sol.hit_budget;
   return plan;
 }
 
@@ -273,6 +274,7 @@ Result<RebalancePlan> MilpRebalancer::SolveExact(
   plan.solve_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
+  plan.hit_budget = sol.status == milp::MilpStatus::kFeasible;
   return plan;
 }
 

@@ -49,7 +49,13 @@ struct RebalancePlan {
   /// Load distance the plan predicts, using the snapshot's (location
   /// independent) group loads.
   double predicted_load_distance = 0.0;
-  double solve_ms = 0.0;  ///< Optimizer wall-clock time.
+  /// Optimizer wall-clock time spent producing this plan, including any
+  /// attempts discarded on the way (ALBIC's maxPL steps, the adaptation
+  /// framework's pre-scaling potential plan).
+  double solve_ms = 0.0;
+  /// True when an optimizer behind this plan stopped at its time budget
+  /// instead of converging (local search) or proving optimality (B&B).
+  bool hit_budget = false;
 };
 
 /// \brief Interface of all key-group allocation algorithms (keyGroupAlloc()

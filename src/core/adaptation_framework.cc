@@ -121,8 +121,12 @@ Result<AdaptationRound> AdaptationFramework::RunRound(
         snap = BuildSnapshot(topology, load_model, group_proc_loads, comm,
                              *cluster, *assignment, measured);
         if (latency != nullptr) snap.latency = *latency;
+        const double potential_ms = round.plan.solve_ms;
+        const bool potential_hit_budget = round.plan.hit_budget;
         ALBIC_ASSIGN_OR_RETURN(
             round.plan, rebalancer_->ComputePlan(snap, options_.constraints));
+        round.plan.solve_ms += potential_ms;
+        round.plan.hit_budget = round.plan.hit_budget || potential_hit_budget;
       }
     }
   }

@@ -24,6 +24,8 @@ struct AdaptationOptions {
 
 /// \brief Result of one adaptation round.
 struct AdaptationRound {
+  /// The applied plan. Its solve_ms / hit_budget cover every ComputePlan
+  /// call of the round: the potential plan and the post-scaling replan.
   balance::RebalancePlan plan;
   engine::MigrationReport report;
   scaling::ScalingDecision scaling;

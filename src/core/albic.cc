@@ -293,13 +293,21 @@ Result<balance::RebalancePlan> Albic::ComputePlan(
   double max_pl = options_.max_partition_load;
   Result<balance::RebalancePlan> best =
       Status::Internal("albic: no solve attempted");
+  // The returned plan carries the optimizer cost of every attempt.
+  double solve_ms = 0.0;
+  bool hit_budget = false;
   while (true) {
     auto plan = SolveOnce(snapshot, constraints, max_pl);
-    if (plan.ok() &&
-        plan->predicted_load_distance <= options_.max_load_distance) {
-      return plan;
+    if (plan.ok()) {
+      solve_ms += plan->solve_ms;
+      hit_budget = hit_budget || plan->hit_budget;
+      plan->solve_ms = solve_ms;
+      plan->hit_budget = hit_budget;
+      if (plan->predicted_load_distance <= options_.max_load_distance) {
+        return plan;
+      }
+      best = std::move(plan);
     }
-    if (plan.ok()) best = std::move(plan);
     if (max_pl <= 0.0) break;
     max_pl -= options_.step_partition_load;
     if (max_pl < 0.0) max_pl = 0.0;

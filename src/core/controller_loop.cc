@@ -467,6 +467,8 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   round.nodes_added = adaptation.nodes_added;
   round.nodes_terminated = adaptation.nodes_terminated;
   round.nodes_marked = adaptation.nodes_marked;
+  round.plan_ms = adaptation.plan.solve_ms;
+  round.plan_hit_budget = adaptation.plan.hit_budget;
   round.active_nodes = cluster_->num_active();
   round.marked_nodes = static_cast<int>(cluster_->marked_nodes().size());
 

@@ -167,6 +167,11 @@ struct ControllerRound {
   int nodes_added = 0;
   int nodes_terminated = 0;
   int nodes_marked = 0;
+  /// Planner cost of the round: optimizer wall time over all of the
+  /// round's ComputePlan calls, and whether any of them stopped at its
+  /// time budget rather than converging (AdaptationRound::plan).
+  double plan_ms = 0.0;
+  bool plan_hit_budget = false;
   int active_nodes = 0;        ///< Cluster state after the round.
   int marked_nodes = 0;        ///< Ditto (drain still in progress).
   double mean_load = 0.0;      ///< Measured, after this round's migrations.

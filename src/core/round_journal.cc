@@ -138,6 +138,10 @@ std::string RoundJournal::ToJson(const ControllerRound& round) {
   AppendDouble(&out, round.recovery_pause_us);
   out += ",\"wall_us\":";
   AppendDouble(&out, round.recovery_wall_us);
+  out += "},\"plan\":{\"solve_ms\":";
+  AppendDouble(&out, round.plan_ms);
+  out += ",\"hit_budget\":";
+  out += round.plan_hit_budget ? "true" : "false";
   out += "},\"cluster\":{\"active\":";
   AppendInt(&out, round.active_nodes);
   out += ",\"marked\":";

@@ -222,6 +222,7 @@ void LocalEngine::WireMetrics() {
   metrics_.chain_len_highwater =
       reg->Gauge("engine_checkpoint_chain_len_highwater");
   metrics_.worker_pool_runs = reg->Gauge("engine_worker_pool_runs");
+  metrics_.vec_pool_bytes = reg->Gauge("engine_vec_pool_bytes");
   if (telemetry_) {
     metrics_.e2e_latency_us = reg->Histogram("engine_e2e_latency_us");
     metrics_.queue_delay_us = reg->Histogram("engine_queue_delay_us");
@@ -250,6 +251,7 @@ void LocalEngine::PublishPeriodMetrics(const EnginePeriodStats& stats) {
   metrics_.epoch_transfer_bytes->Add(stats.epoch_transfer_bytes);
   metrics_.mailbox_highwater->SetMax(stats.mailbox_highwater);
   if (pool_ != nullptr) metrics_.worker_pool_runs->Set(pool_->runs());
+  metrics_.vec_pool_bytes->Set(PooledVecBytes());
   int64_t max_chain = 0;
   for (const int len : chain_len_) {
     if (len > max_chain) max_chain = len;
@@ -771,7 +773,20 @@ std::vector<Tuple> LocalEngine::AcquireVecFor(WorkerContext* ctx,
 
 void LocalEngine::ReleaseVec(WorkerContext* ctx, std::vector<Tuple>&& vec) {
   if (vec.capacity() == 0) return;  // taken by a replay log; nothing to keep
-  if (ctx->vec_pool.size() < 256) ctx->vec_pool.push_back(std::move(vec));
+  if (ctx->vec_pool.size() < kMaxPooledVecs) {
+    ctx->vec_pool.push_back(std::move(vec));
+  }
+}
+
+int64_t LocalEngine::PooledVecBytes() const {
+  size_t tuples = 0;
+  for (const std::vector<Tuple>& v : coordinator_.vec_pool) {
+    tuples += v.capacity();
+  }
+  for (const WorkerContext& ctx : worker_ctx_) {
+    for (const std::vector<Tuple>& v : ctx.vec_pool) tuples += v.capacity();
+  }
+  return static_cast<int64_t>(tuples * sizeof(Tuple));
 }
 
 void LocalEngine::EnqueueMailbox(int mailbox, OperatorId op, int group_index,

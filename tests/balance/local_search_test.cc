@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "balance/balance_item.h"
 #include "common/rng.h"
 #include "engine/migration.h"
@@ -271,6 +273,31 @@ TEST(LocalSearchTest, MoreBudgetNeverWorse) {
   LocalSearchSolution fast = MustSolve(f, cons, 1.0);
   LocalSearchSolution slow = MustSolve(f, cons, 25.0);
   EXPECT_LE(slow.load_distance, fast.load_distance + 1e-9);
+}
+
+TEST(LocalSearchTest, ConvergedSearchIgnoresSpareBudget) {
+  // Stop rule: the search ends once items.size() consecutive kicks failed
+  // to improve, not at the deadline. On a converging instance a 100x
+  // larger budget must return the identical placement, and return long
+  // before that budget runs out. The instance converges in well under
+  // 1 ms optimized and a few ms under ASan/UBSan, inside the 10 ms budget.
+  std::vector<double> loads;
+  Rng rng(3);
+  for (int i = 0; i < 120; ++i) loads.push_back(rng.Uniform(1.0, 9.0));
+  Fixture f(20, loads);
+  RebalanceConstraints cons;
+  cons.max_migrations = 15;
+  LocalSearchSolution tight = MustSolve(f, cons, 10.0);
+  const auto t0 = std::chrono::steady_clock::now();
+  LocalSearchSolution loose = MustSolve(f, cons, 1000.0);
+  const double loose_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  ASSERT_FALSE(tight.hit_budget) << "instance must converge within 10 ms";
+  EXPECT_FALSE(loose.hit_budget);
+  EXPECT_EQ(tight.item_node, loose.item_node);
+  EXPECT_EQ(tight.load_distance, loose.load_distance);
+  EXPECT_LT(loose_ms, 100.0) << "converged search must not run to 1000 ms";
 }
 
 }  // namespace

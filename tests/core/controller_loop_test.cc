@@ -9,11 +9,13 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "balance/milp_rebalancer.h"
 #include "core/controller_loop.h"
+#include "core/round_journal.h"
 #include "engine/load_model.h"
 #include "ops/aggregate.h"
 #include "scaling/scaling_policy.h"
@@ -92,6 +94,22 @@ TEST(ControllerLoopTest, RoundsFireAtPeriodBoundaries) {
   EXPECT_EQ(h.controller->rounds_run(), 3);
   for (const core::ControllerRound& r : h.controller->history()) {
     EXPECT_GT(r.tuples_processed, 0);
+  }
+}
+
+TEST(ControllerLoopTest, RoundsCarryAndJournalPlannerCost) {
+  // 16 items on 2 nodes: the local search converges long before its 5 ms
+  // budget, and every round reports what its planning cost.
+  Harness h;
+  h.Stream(/*periods=*/4, /*tuples_per_period=*/100);
+  ASSERT_EQ(h.controller->rounds_run(), 3);
+  for (const core::ControllerRound& r : h.controller->history()) {
+    EXPECT_GT(r.plan_ms, 0.0);
+    EXPECT_FALSE(r.plan_hit_budget);
+    const std::string json = core::RoundJournal::ToJson(r);
+    EXPECT_NE(json.find("\"plan\":{\"solve_ms\":"), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"hit_budget\":false}"), std::string::npos) << json;
   }
 }
 

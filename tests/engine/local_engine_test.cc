@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "common/metrics_registry.h"
 #include "ops/aggregate.h"
 
 namespace albic::engine {
@@ -174,6 +176,58 @@ TEST(LocalEngineTest, WindowsFireOnEventTime) {
   t.ts += 180'000'000;                      // three more boundaries
   ASSERT_TRUE(engine.Inject(0, t).ok());
   EXPECT_EQ(counter.windows, 8);
+}
+
+TEST(LocalEngineTest, TupleVectorFreeListStaysBounded) {
+  // Every wave scatters one batch into each of 2 x 128 groups, and each
+  // consumed batch vector returns to the coordinator's free list: hundreds
+  // of vectors per flush, far more than the list may keep (32). Keys are
+  // chosen so every group receives exactly kPerGroup tuples per hop, which
+  // caps any pooled vector's capacity at 2 x kPerGroup.
+  constexpr int kGroups = 128;
+  constexpr int kPerGroup = 256;
+  constexpr size_t kPoolBound = 32;
+  Topology topo;
+  topo.AddOperator("fwd", kGroups);
+  topo.AddOperator("sum", kGroups);
+  ASSERT_TRUE(
+      topo.AddStream(0, 1, PartitioningPattern::kFullPartitioning).ok());
+  Cluster cluster(2);
+  Assignment assign(2 * kGroups);
+  for (KeyGroupId g = 0; g < 2 * kGroups; ++g) assign.set_node(g, g % 2);
+  Forward forward;
+  ops::SumByKeyOperator sum{kGroups, ops::GroupField::kKey,
+                            /*emit_updates=*/false};
+  MetricsRegistry registry;
+  LocalEngineOptions opts;
+  opts.mode = ExecutionMode::kBatched;
+  opts.window_every_us = 0;
+  opts.max_batch_tuples = kGroups * kPerGroup;
+  opts.metrics = &registry;
+  LocalEngine engine(&topo, &cluster, assign, {&forward, &sum}, opts);
+
+  std::vector<Tuple> chunk;
+  std::vector<int> filled(kGroups, 0);
+  for (uint64_t key = 1; chunk.size() < kGroups * kPerGroup; ++key) {
+    int& n = filled[static_cast<size_t>(LocalEngine::RouteKey(key, kGroups))];
+    if (n == kPerGroup) continue;
+    ++n;
+    Tuple t;
+    t.key = key;
+    t.num = 1.0;
+    chunk.push_back(t);
+  }
+  for (int rep = 0; rep < 8; ++rep) {
+    ASSERT_TRUE(engine.InjectBatch(0, chunk.data(), chunk.size()).ok());
+    engine.Flush();
+  }
+  const EnginePeriodStats stats = engine.HarvestPeriod();
+  EXPECT_EQ(stats.tuples_processed, 2 * 8 * kGroups * kPerGroup);
+
+  const int64_t pooled = registry.Gauge("engine_vec_pool_bytes")->value();
+  EXPECT_GT(pooled, 0) << "the free list is live";
+  EXPECT_LE(pooled,
+            static_cast<int64_t>(kPoolBound * 2 * kPerGroup * sizeof(Tuple)));
 }
 
 }  // namespace
