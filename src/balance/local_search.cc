@@ -36,14 +36,6 @@ class Search {
         kick_fraction_(options.kick_fraction) {
     retained_ = snap.cluster->retained_nodes();
     marked_ = snap.cluster->marked_nodes();
-    sole_home_.assign(items.size(), engine::kInvalidNode);
-    sole_cost_.assign(items.size(), 0.0);
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (items[i].groups.size() != 1) continue;
-      const KeyGroupId g = items[i].groups.front();
-      sole_home_[i] = snap.assignment.node_of(g);
-      sole_cost_[i] = snap.migration_costs[g];
-    }
     const int num_nodes = snap.cluster->num_nodes_total();
     node_load_.assign(num_nodes, 0.0);
     node_secondary_.assign(num_nodes, 0.0);
@@ -137,6 +129,8 @@ class Search {
   // search has converged), or at the deadline, whichever comes first. The
   // limit scales with the instance, so a converged search returns a
   // placement that depends only on its inputs and seed, not on the clock.
+  // The deadline is tested first: a round it cut short may not count
+  // towards convergence, so such a search reports hit_budget.
   LocalSearchSolution Run() {
     Objective best_obj = Evaluate();
     std::vector<NodeId> best_placement = item_node_;
@@ -164,11 +158,11 @@ class Search {
         Restore(best_placement);
         if (!first_pass) ++failed_kicks;
       }
-      if (failed_kicks >= max_failed_kicks) break;
       if (!TimeLeft()) {
         hit_budget = true;
         break;
       }
+      if (failed_kicks >= max_failed_kicks) break;
       Kick();
     }
 
@@ -195,24 +189,6 @@ class Search {
     return best;
   }
 
-  // Migration cost / count of placing `item` on `n` (ItemMoveCost /
-  // ItemMoveCount). The move evaluators ask this thousands of times per
-  // kick round, so single-group items — nearly all of them — answer from
-  // a cached (current node, cost) pair; the values are identical.
-  double MoveCost(int item, NodeId n) const {
-    if (items_[item].groups.size() == 1) {
-      return sole_home_[item] != n ? sole_cost_[item] : 0.0;
-    }
-    return ItemMoveCost(items_[item], n, snap_.assignment,
-                        snap_.migration_costs);
-  }
-  int MoveCount(int item, NodeId n) const {
-    if (items_[item].groups.size() == 1) {
-      return sole_home_[item] != n ? 1 : 0;
-    }
-    return ItemMoveCount(items_[item], n, snap_.assignment);
-  }
-
   double LoadOn(NodeId n, double item_load) const {
     return item_load / snap_.cluster->capacity(n);
   }
@@ -222,8 +198,9 @@ class Search {
     item_node_[item] = n;
     node_load_[n] += LoadOn(n, items_[item].load);
     node_secondary_[n] += items_[item].secondary_load;
-    used_cost_ += MoveCost(item, n);
-    used_count_ += MoveCount(item, n);
+    used_cost_ += ItemMoveCost(items_[item], n, snap_.assignment,
+                               snap_.migration_costs);
+    used_count_ += ItemMoveCount(items_[item], n, snap_.assignment);
   }
 
   bool BudgetAllows(double cost_delta, int count_delta) const {
@@ -250,8 +227,12 @@ class Search {
     node_load_[n] += LoadOn(n, items_[item].load);
     node_secondary_[cur] -= items_[item].secondary_load;
     node_secondary_[n] += items_[item].secondary_load;
-    used_cost_ += MoveCost(item, n) - MoveCost(item, cur);
-    used_count_ += MoveCount(item, n) - MoveCount(item, cur);
+    used_cost_ += ItemMoveCost(items_[item], n, snap_.assignment,
+                               snap_.migration_costs) -
+                  ItemMoveCost(items_[item], cur, snap_.assignment,
+                               snap_.migration_costs);
+    used_count_ += ItemMoveCount(items_[item], n, snap_.assignment) -
+                   ItemMoveCount(items_[item], cur, snap_.assignment);
     item_node_[item] = n;
     ++accepted_moves_;
   }
@@ -269,8 +250,12 @@ class Search {
   };
   MoveDelta DeltaFor(int item, NodeId to) const {
     const NodeId cur = item_node_[item];
-    return {MoveCost(item, to) - MoveCost(item, cur),
-            MoveCount(item, to) - MoveCount(item, cur)};
+    return {ItemMoveCost(items_[item], to, snap_.assignment,
+                         snap_.migration_costs) -
+                ItemMoveCost(items_[item], cur, snap_.assignment,
+                             snap_.migration_costs),
+            ItemMoveCount(items_[item], to, snap_.assignment) -
+                ItemMoveCount(items_[item], cur, snap_.assignment)};
   }
 
   // Source nodes worth moving load away from: all of B (drain), plus the
@@ -302,13 +287,12 @@ class Search {
     NodeId best_to = engine::kInvalidNode;
     Objective best_obj = base;
 
-    const std::vector<NodeId> dests = DestNodes();
     for (NodeId src : SourceNodes()) {
       for (const int oi : item_order_) {
         const size_t i = static_cast<size_t>(oi);
         if (item_node_[i] != src) continue;
         if (items_[i].pinned != engine::kInvalidNode) continue;
-        for (NodeId dst : dests) {
+        for (NodeId dst : DestNodes()) {
           if (dst == src) continue;
           if (!SecondaryAllows(static_cast<int>(i), dst)) continue;
           MoveDelta delta = DeltaFor(static_cast<int>(i), dst);
@@ -345,27 +329,25 @@ class Search {
     const size_t top = std::min<size_t>(2, by_load.size());
     int best_a = -1, best_b = -1;
     Objective best_obj = base;
-    // Movable items on `from`, in candidate order, each with the budget
-    // delta of moving it to `to`.
-    const auto movable = [&](NodeId from, NodeId to,
-                             std::vector<SwapSide>* out) {
-      out->clear();
-      for (const int oi : item_order_) {
-        if (item_node_[oi] == from &&
-            items_[oi].pinned == engine::kInvalidNode) {
-          out->push_back({static_cast<size_t>(oi), DeltaFor(oi, to)});
-        }
-      }
-    };
     for (size_t hi = 0; hi < top; ++hi) {
       const NodeId src = by_load[hi];
       for (size_t lo = 0; lo < top; ++lo) {
         const NodeId dst = by_load[by_load.size() - 1 - lo];
         if (src == dst) continue;
-        movable(src, dst, &swap_src_);
-        movable(dst, src, &swap_dst_);
-        for (const auto& [a, da] : swap_src_) {
-          for (const auto& [b, db] : swap_dst_) {
+        for (const int oa : item_order_) {
+          const size_t a = static_cast<size_t>(oa);
+          if (item_node_[a] != src ||
+              items_[a].pinned != engine::kInvalidNode) {
+            continue;
+          }
+          for (const int ob : item_order_) {
+            const size_t b = static_cast<size_t>(ob);
+            if (item_node_[b] != dst ||
+                items_[b].pinned != engine::kInvalidNode) {
+              continue;
+            }
+            MoveDelta da = DeltaFor(static_cast<int>(a), dst);
+            MoveDelta db = DeltaFor(static_cast<int>(b), src);
             if (!BudgetAllows(da.cost + db.cost, da.count + db.count)) {
               continue;
             }
@@ -503,16 +485,6 @@ class Search {
   std::vector<double> node_secondary_;
   std::vector<NodeId> item_node_;
   std::vector<int> item_order_;  ///< Candidate order (measured share desc).
-  /// Single-group items: the group's current node and migration cost
-  /// (kInvalidNode / 0 for multi-group items). Backs MoveCost/MoveCount.
-  std::vector<NodeId> sole_home_;
-  std::vector<double> sole_cost_;
-  /// SwapOnce scratch: a movable item and the delta of its half-swap.
-  struct SwapSide {
-    size_t item;
-    MoveDelta delta;
-  };
-  std::vector<SwapSide> swap_src_, swap_dst_;
   double used_cost_ = 0.0;
   int used_count_ = 0;
   int accepted_moves_ = 0;

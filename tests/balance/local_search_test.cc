@@ -279,14 +279,16 @@ TEST(LocalSearchTest, ConvergedSearchIgnoresSpareBudget) {
   // Stop rule: the search ends once items.size() consecutive kicks failed
   // to improve, not at the deadline. On a converging instance a 100x
   // larger budget must return the identical placement, and return long
-  // before that budget runs out. The instance converges in well under
-  // 1 ms optimized and a few ms under ASan/UBSan, inside the 10 ms budget.
+  // before that budget runs out. This case still depends on the wall
+  // clock: the instance converges in about 0.5 ms optimized and about
+  // 5 ms under ASan/UBSan, which must fit into the 10 ms budget (the
+  // suite runs serially for that reason).
   std::vector<double> loads;
   Rng rng(3);
   for (int i = 0; i < 120; ++i) loads.push_back(rng.Uniform(1.0, 9.0));
-  Fixture f(20, loads);
+  Fixture f(40, loads);
   RebalanceConstraints cons;
-  cons.max_migrations = 15;
+  cons.max_migrations = 10;
   LocalSearchSolution tight = MustSolve(f, cons, 10.0);
   const auto t0 = std::chrono::steady_clock::now();
   LocalSearchSolution loose = MustSolve(f, cons, 1000.0);
