@@ -14,11 +14,10 @@ namespace albic::engine {
 
 /// \brief A run of tuples destined for one (operator, key group) pair.
 ///
-/// The unit of work of the batched runtime: routing, delivery accounting and
-/// operator invocation all happen once per batch instead of once per tuple,
-/// which is where the batched path's throughput win comes from. Tuples
-/// within a batch preserve their arrival order, so per-key-group FIFO
-/// semantics match the tuple-at-a-time path.
+/// The engine's unit of work: routing, delivery accounting and operator
+/// invocation all happen once per batch instead of once per tuple. Tuples
+/// within a batch preserve their arrival order, so each key group still
+/// sees its input in FIFO order.
 class TupleBatch {
  public:
   TupleBatch() = default;

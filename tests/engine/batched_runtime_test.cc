@@ -1,9 +1,8 @@
-// The batched runtime must be a drop-in replacement for the synchronous
-// tuple-at-a-time path: with num_workers = 1 it produces identical
-// EnginePeriodStats and operator outputs on the Real Job 1 pipeline
-// (including across migrations), migrations started while batches are
-// staged buffer and drain in arrival order, and multi-worker execution
-// reaches the same final state.
+// The batched wave runtime on the Real Job 1 pipeline: multi-worker
+// execution reaches the same EnginePeriodStats and operator outputs as one
+// worker (including across migrations), per-tuple Inject and chunked
+// InjectBatch agree, migrations started while batches are staged buffer and
+// drain in arrival order, and the pipeline auto-drains at the batch limit.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 namespace albic {
 namespace {
 
-using engine::ExecutionMode;
 using engine::KeyGroupId;
 using engine::Tuple;
 
@@ -105,40 +103,12 @@ void ExpectStatsEqual(const engine::EnginePeriodStats& a,
   }
 }
 
-TEST(BatchedRuntimeTest, SingleWorkerMatchesTupleAtATimeOnWikiPipeline) {
-  engine::LocalEngineOptions legacy_opts;
-  Pipeline legacy(legacy_opts);
-
-  engine::LocalEngineOptions batched_opts;
-  batched_opts.mode = ExecutionMode::kBatched;
-  batched_opts.num_workers = 1;
-  Pipeline batched(batched_opts);
-
-  constexpr int kTuples = 70000;  // > 2 one-minute windows at 400 tuples/s
-  engine::EnginePeriodStats legacy_stats = legacy.RunWiki(kTuples);
-  engine::EnginePeriodStats batched_stats = batched.RunWiki(kTuples);
-
-  ExpectStatsEqual(legacy_stats, batched_stats);
-
-  // The job answer must be identical too: same per-window global counts.
-  std::map<uint64_t, int64_t> a = legacy.GlobalCounts();
-  std::map<uint64_t, int64_t> b = batched.GlobalCounts();
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-
-  // And the rotating migrations must have landed both engines on the same
-  // allocation.
-  EXPECT_TRUE(legacy.engine->assignment() == batched.engine->assignment());
-}
-
 TEST(BatchedRuntimeTest, MultiWorkerMatchesSingleWorker) {
   engine::LocalEngineOptions one;
-  one.mode = ExecutionMode::kBatched;
   one.num_workers = 1;
   Pipeline single(one);
 
   engine::LocalEngineOptions four;
-  four.mode = ExecutionMode::kBatched;
   four.num_workers = 4;
   Pipeline multi(four);
 
@@ -153,37 +123,35 @@ TEST(BatchedRuntimeTest, MultiWorkerMatchesSingleWorker) {
 }
 
 TEST(BatchedRuntimeTest, InjectBatchMatchesPerTupleInject) {
-  engine::LocalEngineOptions legacy_opts;
-  Pipeline legacy(legacy_opts);
+  Pipeline per_tuple{engine::LocalEngineOptions()};
+  Pipeline chunked{engine::LocalEngineOptions()};
 
-  engine::LocalEngineOptions batched_opts;
-  batched_opts.mode = ExecutionMode::kBatched;
-  batched_opts.num_workers = 1;
-  Pipeline batched(batched_opts);
-
-  // Same stream, ingested per tuple on the legacy engine and in arbitrary
-  // chunk sizes on the batched one.
+  // Same stream, ingested per tuple on one engine and in arbitrary chunk
+  // sizes on the other.
   constexpr int kTuples = 50000;
   workload::WikipediaEditStream edits(300, 101, /*rate_per_second=*/400.0);
   std::vector<Tuple> stream;
   stream.reserve(kTuples);
   for (int i = 0; i < kTuples; ++i) stream.push_back(edits.Next());
 
-  for (const Tuple& t : stream) ASSERT_TRUE(legacy.engine->Inject(0, t).ok());
+  for (const Tuple& t : stream) {
+    ASSERT_TRUE(per_tuple.engine->Inject(0, t).ok());
+  }
   size_t offset = 0;
   const size_t chunks[] = {1, 7, 1000, 40000, 8992};
   for (size_t chunk : chunks) {
     ASSERT_TRUE(
-        batched.engine->InjectBatch(0, stream.data() + offset, chunk).ok());
+        chunked.engine->InjectBatch(0, stream.data() + offset, chunk).ok());
     offset += chunk;
   }
   ASSERT_EQ(offset, stream.size());
 
-  legacy.engine->Flush();
-  batched.engine->Flush();
-  ExpectStatsEqual(legacy.engine->HarvestPeriod(),
-                   batched.engine->HarvestPeriod());
-  EXPECT_EQ(legacy.GlobalCounts(), batched.GlobalCounts());
+  per_tuple.engine->Flush();
+  chunked.engine->Flush();
+  ExpectStatsEqual(per_tuple.engine->HarvestPeriod(),
+                   chunked.engine->HarvestPeriod());
+  ASSERT_FALSE(per_tuple.GlobalCounts().empty());
+  EXPECT_EQ(per_tuple.GlobalCounts(), chunked.GlobalCounts());
 }
 
 /// Records the order in which tuples reach each group (via tuple.num).
@@ -215,7 +183,6 @@ TEST(BatchedRuntimeTest, MigrationMidBatchBuffersAndDrainsInOrder) {
   }
   RecordingOperator rec(4);
   engine::LocalEngineOptions opts;
-  opts.mode = ExecutionMode::kBatched;
   opts.max_batch_tuples = 1024;  // nothing auto-drains during the test
   opts.window_every_us = 0;
   engine::LocalEngine eng(&topo, &cluster, assign,
@@ -264,7 +231,6 @@ TEST(BatchedRuntimeTest, AutoDrainTriggersAtBatchLimit) {
   for (KeyGroupId g = 0; g < topo.num_key_groups(); ++g) assign.set_node(g, 0);
   RecordingOperator rec(2);
   engine::LocalEngineOptions opts;
-  opts.mode = ExecutionMode::kBatched;
   opts.max_batch_tuples = 8;
   opts.window_every_us = 0;
   engine::LocalEngine eng(&topo, &cluster, assign,

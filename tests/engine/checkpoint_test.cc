@@ -54,7 +54,7 @@ struct Pipeline {
   std::unique_ptr<CheckpointCoordinator> coordinator;
   std::unique_ptr<engine::LocalEngine> engine;
 
-  explicit Pipeline(engine::ExecutionMode mode = engine::ExecutionMode::kBatched) {
+  Pipeline() {
     topo.AddOperator("geohash", kGroups, 1 << 14);
     topo.AddOperator("topk", kGroups, 1 << 14);
     topo.AddOperator("global", kGroups, 1 << 14);
@@ -70,7 +70,6 @@ struct Pipeline {
     }
     engine::LocalEngineOptions opts;
     opts.window_every_us = kWindowUs;
-    opts.mode = mode;
     engine = std::make_unique<engine::LocalEngine>(
         &topo, &cluster, assign,
         std::vector<engine::StreamOperator*>{&geohash, &topk, &global}, opts);
@@ -137,12 +136,12 @@ TEST(ReplayLogTest, SequencesTruncationAndReplayOrder) {
   EXPECT_TRUE(log.empty());
   Tuple t;
   t.key = 7;
-  log.AppendTuple(t);   // seq 0
+  log.AppendChunk({t});  // seq 0
   log.AppendWindowFire();  // seq 1
-  Tuple run[2];
+  std::vector<Tuple> run(2);
   run[0].key = 8;
   run[1].key = 9;
-  log.AppendRun(run, 2);   // seqs 2, 3
+  log.AppendChunk(std::move(run));  // seqs 2, 3
   log.AppendWindowFire();  // seq 4
   EXPECT_EQ(log.next_seq(), 5u);
   EXPECT_EQ(log.base_seq(), 0u);
@@ -526,7 +525,6 @@ void RunBudgetedRounds(double max_chain_restore_us, int keys_per_round,
   assign.set_node(0, 0);
   ops::StoreSinkOperator sink(1);
   engine::LocalEngineOptions eopts;
-  eopts.mode = engine::ExecutionMode::kBatched;
   eopts.window_every_us = 0;
   engine::LocalEngine engine(&topo, &cluster, assign,
                              std::vector<engine::StreamOperator*>{&sink},
@@ -730,9 +728,8 @@ struct ControlledRun {
 };
 
 ControlledRun RunControlled(const std::vector<Tuple>& stream, bool kill,
-                            engine::ExecutionMode mode,
                             int64_t period_us = kWindowUs) {
-  Pipeline p(mode);
+  Pipeline p;
   CheckpointCoordinatorOptions copts;
   copts.interval_us = 20LL * 1000 * 1000;
   p.EnableCheckpointing(copts);
@@ -783,10 +780,8 @@ ControlledRun RunControlled(const std::vector<Tuple>& stream, bool kill,
 TEST(CheckpointRecoveryTest, KillNodeMidStreamLosesNothing) {
   const std::vector<Tuple> stream =
       MakeStream(120000, /*articles=*/300, /*seed=*/17, /*rate=*/500.0);
-  const ControlledRun baseline =
-      RunControlled(stream, /*kill=*/false, engine::ExecutionMode::kBatched);
-  const ControlledRun failed =
-      RunControlled(stream, /*kill=*/true, engine::ExecutionMode::kBatched);
+  const ControlledRun baseline = RunControlled(stream, /*kill=*/false);
+  const ControlledRun failed = RunControlled(stream, /*kill=*/true);
 
   // Zero tuples lost: the failure run offered and processed the whole
   // stream, and every operator group ends in exactly the state of the
@@ -829,10 +824,10 @@ TEST(CheckpointRecoveryTest, EagerRecoveryAllowsWindowsDuringFormerOutage) {
   constexpr int64_t kOddPeriodUs = 13LL * 1000 * 1000;
   static_assert(kWindowUs % kOddPeriodUs != 0,
                 "the period must not divide the window cadence");
-  const ControlledRun baseline = RunControlled(
-      stream, /*kill=*/false, engine::ExecutionMode::kBatched, kOddPeriodUs);
-  const ControlledRun failed = RunControlled(
-      stream, /*kill=*/true, engine::ExecutionMode::kBatched, kOddPeriodUs);
+  const ControlledRun baseline =
+      RunControlled(stream, /*kill=*/false, kOddPeriodUs);
+  const ControlledRun failed =
+      RunControlled(stream, /*kill=*/true, kOddPeriodUs);
 
   EXPECT_EQ(failed.ingested, static_cast<int64_t>(stream.size()));
   ASSERT_FALSE(baseline.counts.empty());

@@ -51,6 +51,7 @@ TEST(LocalEngineTest, RoutesByKeyHashDeterministically) {
   t.num = 2.0;
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
+  f.engine->Flush();
   const int group = LocalEngine::RouteKey(1234, 4);
   EXPECT_DOUBLE_EQ(f.sum.SumFor(group, 1234), 4.0);
 }
@@ -92,6 +93,7 @@ TEST(LocalEngineTest, OneToOnePatternPreservesGroupIndex) {
   t.key = 42;
   t.num = 3.0;
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
+  f.engine->Flush();
   const int src_group = LocalEngine::RouteKey(42, 4);
   EXPECT_DOUBLE_EQ(f.sum.SumFor(src_group, 42), 3.0);
   EnginePeriodStats stats = f.engine->HarvestPeriod();
@@ -104,6 +106,7 @@ TEST(LocalEngineTest, DirectMigrationMovesStateAndDrainsBuffer) {
   t.key = 99;
   t.num = 5.0;
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
+  f.engine->Flush();
   const int local = LocalEngine::RouteKey(99, 4);
   const KeyGroupId g = 4 + local;
   EXPECT_DOUBLE_EQ(f.sum.SumFor(local, 99), 5.0);
@@ -111,6 +114,7 @@ TEST(LocalEngineTest, DirectMigrationMovesStateAndDrainsBuffer) {
   ASSERT_TRUE(f.engine->StartMigration(g, 0).ok());
   // Tuples during migration are buffered, not processed.
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
+  f.engine->Flush();
   EXPECT_DOUBLE_EQ(f.sum.SumFor(local, 99), 5.0);
 
   auto pause = f.engine->FinishMigration(g);
@@ -143,6 +147,7 @@ TEST(LocalEngineTest, BufferedTupleCountsReported) {
     }
   }
   ASSERT_TRUE(f.engine->Inject(0, t).ok());
+  f.engine->Flush();
   ASSERT_TRUE(f.engine->FinishMigration(4).ok());
   EnginePeriodStats stats = f.engine->HarvestPeriod();
   EXPECT_EQ(stats.tuples_buffered, 1);
@@ -200,7 +205,6 @@ TEST(LocalEngineTest, TupleVectorFreeListStaysBounded) {
                             /*emit_updates=*/false};
   MetricsRegistry registry;
   LocalEngineOptions opts;
-  opts.mode = ExecutionMode::kBatched;
   opts.window_every_us = 0;
   opts.max_batch_tuples = kGroups * kPerGroup;
   opts.metrics = &registry;

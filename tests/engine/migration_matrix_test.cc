@@ -69,7 +69,6 @@ struct StorePipeline {
       assign.set_node(g, g % kStoreNodes);
     }
     engine::LocalEngineOptions opts;
-    opts.mode = engine::ExecutionMode::kBatched;
     opts.window_every_us = 0;
     engine = std::make_unique<engine::LocalEngine>(
         &topo, &cluster, assign,
@@ -339,7 +338,6 @@ TEST(MigrationModeContractTest, EpochWithoutCheckpointingFallsBackToDirect) {
   }
   ops::StoreSinkOperator sink(kStoreGroups);
   engine::LocalEngineOptions opts;
-  opts.mode = engine::ExecutionMode::kBatched;
   opts.window_every_us = 0;
   engine::LocalEngine engine(
       &topo, &cluster, assign,
@@ -393,7 +391,6 @@ TEST(MigrationModeContractTest, LeaseWithoutCheckpointingStillFlips) {
   }
   ops::StoreSinkOperator sink(kStoreGroups);
   engine::LocalEngineOptions opts;
-  opts.mode = engine::ExecutionMode::kBatched;
   opts.window_every_us = 0;
   engine::LocalEngine engine(
       &topo, &cluster, assign,

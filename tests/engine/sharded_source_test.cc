@@ -1,5 +1,5 @@
-// The sharded source subsystem's contracts: a 1-shard run reproduces the
-// legacy InjectBatch ingestion bit-identically (same EnginePeriodStats,
+// The sharded source subsystem's contracts: a 1-shard run reproduces
+// InjectBatch ingestion bit-identically (same EnginePeriodStats,
 // same operator outputs) on the wiki pipeline; multi-shard runs lose no
 // tuples and keep per-(shard, key-group) order, including across a
 // migration started while shard batches are in flight; the bounded staging
@@ -24,7 +24,6 @@
 namespace albic {
 namespace {
 
-using engine::ExecutionMode;
 using engine::KeyGroupId;
 using engine::Tuple;
 
@@ -107,10 +106,9 @@ TEST(ShardedSourceTest, OneShardMatchesLegacyInjectBatchOnWikiPipeline) {
   const std::vector<Tuple> stream = WikiStream(kTuples);
 
   engine::LocalEngineOptions opts;
-  opts.mode = ExecutionMode::kBatched;
   opts.num_workers = 1;
 
-  // Reference: the legacy bulk-ingestion path, one InjectBatch call.
+  // Reference: the bulk-ingestion path, one InjectBatch call.
   Pipeline legacy(opts);
   ASSERT_TRUE(
       legacy.engine->InjectBatch(0, stream.data(), stream.size()).ok());
@@ -141,31 +139,6 @@ TEST(ShardedSourceTest, OneShardMatchesLegacyInjectBatchOnWikiPipeline) {
   const std::map<uint64_t, int64_t> b = sharded.GlobalCounts();
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
-}
-
-TEST(ShardedSourceTest, OneShardMatchesTupleAtATimeReferenceSemantics) {
-  // Transitivity check against the original reference path: per-tuple
-  // Inject on a tuple-at-a-time engine.
-  constexpr int kTuples = 40000;
-  const std::vector<Tuple> stream = WikiStream(kTuples);
-
-  Pipeline reference((engine::LocalEngineOptions()));
-  for (const Tuple& t : stream) {
-    ASSERT_TRUE(reference.engine->Inject(0, t).ok());
-  }
-
-  engine::LocalEngineOptions batched;
-  batched.mode = ExecutionMode::kBatched;
-  Pipeline sharded(batched);
-  engine::VectorSource source(stream.data(), stream.size());
-  engine::EngineShardSink sink(sharded.engine.get());
-  engine::ShardedSourceRunner runner;
-  ASSERT_TRUE(runner.Run({&source}, 0, kGroups, &sink).ok());
-  sharded.engine->Flush();
-
-  ExpectStatsEqual(reference.engine->HarvestPeriod(),
-                   sharded.engine->HarvestPeriod());
-  EXPECT_EQ(reference.GlobalCounts(), sharded.GlobalCounts());
 }
 
 // --- multi-shard: ordering, backpressure, migration safety ----------------
@@ -241,7 +214,6 @@ TEST(ShardedSourceTest, MultiShardNoLossInOrderAcrossMidIngestionMigration) {
   }
   RecordingOperator rec(4);
   engine::LocalEngineOptions opts;
-  opts.mode = ExecutionMode::kBatched;
   opts.window_every_us = 0;
   // Small drain threshold so the pipeline drains (and therefore delivers
   // into the migrating group, which must buffer) while the migration from

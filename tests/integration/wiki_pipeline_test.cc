@@ -1,13 +1,14 @@
-// End-to-end correctness of the Real Job 1 pipeline on the tuple runtime:
-// the distributed GeoHash -> windowed TopK -> global TopK answer must agree
-// with an offline single-pass reference over the same stream — including
-// across migrations performed mid-window.
+// End-to-end correctness of the Real Job 1 pipeline: the distributed
+// GeoHash -> windowed TopK -> global TopK answer must agree with an offline
+// single-pass reference over the same stream — at one worker and at four,
+// including across migrations performed mid-window.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "engine/local_engine.h"
 #include "ops/geohash.h"
@@ -32,7 +33,7 @@ struct Pipeline {
   ops::WindowedTopKOperator global{kGroups, 64, ops::TopKCountMode::kSumNum};
   std::unique_ptr<engine::LocalEngine> engine;
 
-  Pipeline() {
+  explicit Pipeline(int num_workers = 1) {
     topo.AddOperator("geohash", kGroups, 1 << 14);
     topo.AddOperator("topk", kGroups, 1 << 14);
     topo.AddOperator("global", kGroups, 1 << 14);
@@ -48,6 +49,7 @@ struct Pipeline {
     }
     engine::LocalEngineOptions opts;
     opts.window_every_us = kWindowUs;
+    opts.num_workers = num_workers;
     engine = std::make_unique<engine::LocalEngine>(
         &topo, &cluster, assign,
         std::vector<engine::StreamOperator*>{&geohash, &topk, &global},
@@ -67,8 +69,11 @@ struct Pipeline {
   }
 };
 
-TEST(WikiPipelineTest, GlobalTopKMatchesOfflineReferencePerWindow) {
-  Pipeline p;
+/// Parameterized over the engine's worker count.
+class WikiPipelineTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(WikiPipelineTest, GlobalTopKMatchesOfflineReferencePerWindow) {
+  Pipeline p(/*num_workers=*/GetParam());
   workload::WikipediaEditStream edits(300, 101, /*rate_per_second=*/400.0);
 
   std::map<uint64_t, int64_t> reference;  // current-window offline counts
@@ -115,6 +120,11 @@ TEST(WikiPipelineTest, GlobalTopKMatchesOfflineReferencePerWindow) {
         << "phantom article " << article;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Workers, WikiPipelineTest, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "Workers";
+                         });
 
 TEST(WikiPipelineTest, GeoHashSpreadsLoadAcrossGroups) {
   Pipeline p;
