@@ -1,8 +1,9 @@
 // Fault-tolerant Real Job 1: the wiki top-k pipeline on the batched runtime
 // with the full checkpoint subsystem — a file-backed CheckpointStore,
-// periodic incremental checkpoints, indirect migrations, and failure
-// recovery. Wikipedia edits stream in through sharded sources; halfway
-// through, one node is killed abruptly. The controller recovers eagerly —
+// periodic incremental checkpoints, indirect migrations wherever the
+// replay-log suffix undercuts the state, and failure recovery. Wikipedia
+// edits stream in through sharded sources; halfway through, one node is
+// killed abruptly. The controller recovers eagerly —
 // KillNode itself runs the recovery round, re-planning the assignment over
 // the surviving nodes, restoring every lost key group from its latest
 // checkpoint + replay-log suffix, and draining the tuples that buffered
@@ -181,7 +182,6 @@ int main(int argc, char** argv) {
   core::ControllerLoopOptions copts;
   copts.period_every_us = kPeriodUs;
   copts.node_capacity_work_units = 2.0 * kTuplesPerPeriod / kNodes / 0.5;
-  copts.use_indirect_migration = true;  // pause O(log suffix), not O(state)
   copts.metrics = &registry;
   if (journal.is_open()) copts.journal = &journal;
   core::ControllerLoop controller(&engine, &framework, &load_model, &topology,

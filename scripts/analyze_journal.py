@@ -35,8 +35,8 @@ VALID_PHASES = frozenset([
 # The controller's fixed decision-reason vocabulary (core/controller_loop.cc).
 # A reason outside this set means the journal and the controller drifted.
 VALID_REASONS = frozenset([
-    "no-checkpointing", "forced-indirect", "indirect-cheaper",
-    "epoch-zero-pause", "lease-zero-cost", "direct-cheapest",
+    "no-checkpointing", "indirect-cheaper", "epoch-zero-pause",
+    "lease-zero-cost", "direct-cheapest",
 ])
 
 

@@ -10,6 +10,32 @@
 
 namespace albic::core {
 
+MigrationChoice ChooseMigrationMode(const engine::MigrationPauseEstimate& est,
+                                    bool allow_epoch, bool allow_lease) {
+  // Epoch availability is exactly "checkpointing is on": without it direct
+  // is all the byte-moving policies have.
+  MigrationChoice best{engine::MigrationMode::kDirect, est.direct_us,
+                       est.epoch_available ? "direct-cheapest"
+                                           : "no-checkpointing"};
+  const auto consider = [&best](bool available, double us, bool wins_ties,
+                                engine::MigrationMode mode,
+                                const char* reason) {
+    if (available && (us < best.predicted_pause_us ||
+                      (wins_ties && us == best.predicted_pause_us))) {
+      best = {mode, us, reason};
+    }
+  };
+  consider(est.indirect_available, est.indirect_us, /*wins_ties=*/false,
+           engine::MigrationMode::kIndirect, "indirect-cheaper");
+  consider(allow_epoch && est.epoch_available, est.epoch_us,
+           /*wins_ties=*/false, engine::MigrationMode::kEpoch,
+           "epoch-zero-pause");
+  consider(allow_lease && est.lease_available, est.lease_us,
+           /*wins_ties=*/true, engine::MigrationMode::kLease,
+           "lease-zero-cost");
+  return best;
+}
+
 ControllerLoop::ControllerLoop(engine::LocalEngine* engine,
                                AdaptationFramework* framework,
                                const engine::LoadModel* load_model,
@@ -188,7 +214,6 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   // (cost_model.h: "replay_suffix_bytes is the caller's to fill").
   signals.replay_suffix_bytes = engine_->ReplaySuffixBytes();
   signals.delta_chain_bytes = engine_->DeltaChainBytes();
-  signals.epoch_transfer_bytes = engine_->EpochTransferBytes();
   // Lease availability is arena-derived, not telemetry-derived, and only
   // meaningful when the controller may actually choose leases: with the
   // opt-in off the vector stays empty and the snapshot's migration-cost
@@ -354,46 +379,16 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
   // Act: apply the plan's migrations to the live engine. Each one buffers
   // tuples in flight for the group and drains them at the target. Lost
   // groups are skipped here (StartMigration rejects them) and restored
-  // below at their planned placement. The mode is chosen PER GROUP from
-  // the predicted pauses — indirect when the replay-log suffix undercuts
-  // the state size, epoch (zero-pause background transfer) when opted in
-  // and its prediction undercuts both — unless use_indirect_migration
-  // forces indirect everywhere (the pre-measured-cost behaviour, kept as
-  // an override that also wins over the epoch opt-in).
-  const bool checkpointed = engine_->checkpointing_enabled();
+  // below at their planned placement. The mode is chosen PER GROUP: the
+  // cheapest predicted pause among the available modes
+  // (ChooseMigrationMode).
   for (const engine::Migration& m : adaptation.plan.migrations) {
     ++round.migrations_planned;
     const engine::MigrationPauseEstimate est =
         engine_->EstimateMigrationPause(m.group);
-    engine::MigrationMode mode = engine::MigrationMode::kDirect;
-    double predicted = est.direct_us;
-    const char* reason = checkpointed ? "direct-cheapest" : "no-checkpointing";
-    if (checkpointed) {
-      if (options_.use_indirect_migration ||
-          (est.indirect_available && est.indirect_us < est.direct_us)) {
-        mode = engine::MigrationMode::kIndirect;
-        predicted = est.indirect_available ? est.indirect_us : est.direct_us;
-        reason = options_.use_indirect_migration ? "forced-indirect"
-                                                 : "indirect-cheaper";
-      }
-      if (!options_.use_indirect_migration && options_.use_epoch_migration &&
-          est.epoch_available && est.epoch_us < predicted) {
-        mode = engine::MigrationMode::kEpoch;
-        predicted = est.epoch_us;
-        reason = "epoch-zero-pause";
-      }
-    }
-    // Lease flips sit OUTSIDE the checkpointed gate: the arena flip needs
-    // no checkpoint subsystem at all. `<=` (not `<`) so a lease's zero
-    // prediction beats epoch's zero — when both cost nothing, the mode
-    // that also moves zero bytes wins. The forced-indirect override still
-    // takes precedence via the use_indirect_migration guard.
-    if (!options_.use_indirect_migration && options_.use_lease_migration &&
-        est.lease_available && est.lease_us <= predicted) {
-      mode = engine::MigrationMode::kLease;
-      predicted = est.lease_us;
-      reason = "lease-zero-cost";
-    }
+    const MigrationChoice choice = ChooseMigrationMode(
+        est, options_.use_epoch_migration, options_.use_lease_migration);
+    const engine::MigrationMode mode = choice.mode;
     if (!engine_->StartMigration(m.group, m.to, mode).ok()) continue;
     Result<double> pause = engine_->FinishMigration(m.group);
     if (pause.ok()) {
@@ -404,7 +399,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
       decision.from = m.from;
       decision.to = m.to;
       decision.mode = mode;
-      decision.predicted_pause_us = predicted;
+      decision.predicted_pause_us = choice.predicted_pause_us;
       decision.actual_pause_us = *pause;
       decision.est_direct_us = est.direct_us;
       decision.est_indirect_us = est.indirect_available ? est.indirect_us : -1;
@@ -415,7 +410,7 @@ Result<ControllerRound> ControllerLoop::RunRoundNow() {
       decision.est_lease_us =
           options_.use_lease_migration && est.lease_available ? est.lease_us
                                                               : -1;
-      decision.reason = reason;
+      decision.reason = choice.reason;
       round.migration_decisions.push_back(decision);
       if (mode == engine::MigrationMode::kLease) {
         ++round.migrations_lease;

@@ -59,22 +59,12 @@ struct ControllerLoopOptions {
   /// rounds report the overloaded-node count and per-node backlog.
   /// 0 disables the model. Requires latency telemetry.
   double service_capacity_us_per_period = 0.0;
-  /// Force every planned migration to the indirect mode (checkpoint +
-  /// replay, pause O(log suffix) instead of O(state)); requires the engine
-  /// to have checkpointing enabled — ignored (direct migration) otherwise.
-  /// When false and checkpointing is on, the controller instead picks the
-  /// cheaper predicted mode PER MIGRATED GROUP: indirect for groups whose
-  /// replay-log suffix undercuts their state size, direct for the rest
-  /// (reported per migration in ControllerRound::migration_decisions).
-  /// Takes precedence over use_epoch_migration when both are set.
-  bool use_indirect_migration = false;
   /// Opt into epoch-marker migration (engine::MigrationMode::kEpoch) for
-  /// planned moves: with checkpointing on and use_indirect_migration off,
-  /// the per-group mode choice becomes three-way and picks epoch whenever
-  /// its predicted pause (one wave barrier, modeled zero) undercuts both
-  /// the direct and indirect predictions — in practice every group with a
-  /// usable checkpoint. Off by default so existing two-way deployments and
-  /// their pause accounting stay byte-identical.
+  /// planned moves: with checkpointing on, the per-group mode choice (see
+  /// ChooseMigrationMode) also considers epoch, whose predicted pause (one
+  /// wave barrier, modeled zero) undercuts the direct and indirect
+  /// predictions. Off by default so existing deployments and their pause
+  /// accounting stay byte-identical.
   bool use_epoch_migration = false;
   /// Opt into lease migration (engine::MigrationMode::kLease) for planned
   /// moves: reassign groups by flipping lease ownership over the shared
@@ -87,7 +77,6 @@ struct ControllerLoopOptions {
   /// Also zeroes the planner's per-group migration-cost budget terms for
   /// lease-eligible groups (MeasuredSignals::lease_available), so a
   /// constrained migration budget no longer throttles zero-cost moves.
-  /// use_indirect_migration still takes precedence when both are set.
   /// Off by default so existing deployments, their pause accounting and
   /// their planner budgets stay byte-identical.
   bool use_lease_migration = false;
@@ -128,10 +117,27 @@ struct MigrationDecision {
   double est_epoch_us = -1.0;
   double est_lease_us = -1.0;
   /// Why this mode won: "no-checkpointing" (direct is all there is),
-  /// "forced-indirect" (use_indirect_migration), "indirect-cheaper",
-  /// "epoch-zero-pause", "lease-zero-cost", or "direct-cheapest".
+  /// "indirect-cheaper", "epoch-zero-pause", "lease-zero-cost", or
+  /// "direct-cheapest".
   const char* reason = "direct-cheapest";
 };
+
+/// \brief A mode choice for one planned move: the winner, its predicted
+/// pause and the journal reason.
+struct MigrationChoice {
+  engine::MigrationMode mode = engine::MigrationMode::kDirect;
+  double predicted_pause_us = 0.0;
+  const char* reason = "direct-cheapest";
+};
+
+/// \brief The controller's one mode rule: among the modes available for
+/// the group — direct always, indirect with a usable chain, epoch when
+/// \p allow_epoch and checkpointing is on, lease when \p allow_lease and
+/// the group's state is live — the cheapest prediction wins. Ties keep the
+/// earlier of direct, indirect, epoch, except that a lease wins them: when
+/// both cost nothing, the mode that also moves zero bytes is preferred.
+MigrationChoice ChooseMigrationMode(const engine::MigrationPauseEstimate& est,
+                                    bool allow_epoch, bool allow_lease);
 
 /// \brief Compact record of one adaptation round driven by the controller.
 struct ControllerRound {

@@ -68,12 +68,6 @@ struct MeasuredSignals {
   /// background, the chained deltas are applied during the pause). All
   /// zeros with delta checkpoints off; empty when checkpointing is off.
   std::vector<double> delta_chain_bytes;
-  /// Per-group bytes an epoch migration would ship in the background (the
-  /// newest chain cut at the boundary plus the logged suffix) — transfer
-  /// volume, not pause: epoch pauses are one wave barrier regardless. -1
-  /// for groups without a usable checkpoint (their stamp would round-trip
-  /// the live state instead). Empty when checkpointing is off.
-  std::vector<double> epoch_transfer_bytes;
   /// Per-group flag (1/0): a lease flip over the shared state arena can
   /// migrate the group at zero transfer cost (state_arena.h). Filled by
   /// the controller from the engine when lease migration is opted in —

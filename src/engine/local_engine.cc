@@ -269,14 +269,6 @@ void LocalEngine::PublishPeriodMetrics(const EnginePeriodStats& stats) {
   }
   reg->Gauge("flatmap64_full_rehashes")
       ->Set(FlatMap64Telemetry::full_rehashes.load(std::memory_order_relaxed));
-  reg->Gauge("flatmap64_drain_steps")
-      ->Set(FlatMap64Telemetry::drain_steps.load(std::memory_order_relaxed));
-  reg->Gauge("flatmap64_drained_entries")
-      ->Set(
-          FlatMap64Telemetry::drained_entries.load(std::memory_order_relaxed));
-  reg->Gauge("flatmap64_max_drain_step")
-      ->SetMax(
-          FlatMap64Telemetry::max_drain_step.load(std::memory_order_relaxed));
 }
 
 // ---------------------------------------------------------------------------
@@ -1064,14 +1056,11 @@ Status LocalEngine::StartMigration(KeyGroupId group, NodeId to,
       !cluster_->is_active(to)) {
     return Status::InvalidArgument("migration target node not active");
   }
-  if (mode == MigrationMode::kIndirect && checkpointer_ == nullptr) {
-    return Status::InvalidArgument(
-        "indirect migration requires checkpointing (EnableCheckpointing)");
-  }
-  if (mode == MigrationMode::kEpoch && checkpointer_ == nullptr) {
+  if (checkpointer_ == nullptr &&
+      (mode == MigrationMode::kIndirect || mode == MigrationMode::kEpoch)) {
     // The caller asked for a move, not a mechanism: without the checkpoint
-    // subsystem there is no background chain to ship, so the move degrades
-    // to the always-available direct mode instead of failing.
+    // subsystem there is no chain to restore, so the move degrades to the
+    // always-available direct mode instead of failing.
     mode = MigrationMode::kDirect;
   }
   MigrationState& mig = migrating_[group];
@@ -1084,14 +1073,11 @@ Status LocalEngine::StartMigration(KeyGroupId group, NodeId to,
   mig.active = true;
   mig.target = to;
   mig.mode = mode;
-  if (mode == MigrationMode::kEpoch || mode == MigrationMode::kLease) {
-    // Both modes resolve at the next quiescent instant. Note kLease never
-    // degraded above: the lease flip needs no checkpoint chain to ship —
-    // the state stays put in the arena — so it works without
-    // checkpointing, and without weakening it (dirty tracking and replay
-    // logging are untouched by the flip).
-    mig.epoch_stamped = false;
-    mig.epoch_boundary_seq = 0;
+  if (!MigrationBuffers(mode)) {
+    // Epoch and lease resolve at the next quiescent instant. A lease never
+    // degraded above: the flip needs no checkpoint chain — the state stays
+    // put in the arena — so it works without checkpointing, and without
+    // weakening it (dirty tracking and replay logging are untouched).
     epoch_pending_.push_back(group);
   }
   return Status::OK();
@@ -1114,6 +1100,60 @@ void LocalEngine::DrainMigrationBuffer(KeyGroupId group) {
   DrainAll();
 }
 
+bool LocalEngine::UsableChain(KeyGroupId g, CheckpointInfo* info,
+                              std::string* base,
+                              std::vector<std::string>* deltas) const {
+  if (checkpointer_ == nullptr) return false;
+  const bool found =
+      base == nullptr
+          ? checkpointer_->store()->Latest(g, info, /*state=*/nullptr)
+          : checkpointer_->store()->LatestChain(g, info, base, deltas);
+  return found && group_logs_[g].base_seq() <= info->seq;
+}
+
+Result<LocalEngine::RestoreOutcome> LocalEngine::RestoreGroup(
+    KeyGroupId g, bool prefer_chain) {
+  StreamOperator* op = operators_[topology_->group_operator(g)];
+  const int local = topology_->group_index_in_operator(g);
+  const bool lost = migrating_[g].lost;
+  RestoreOutcome out;
+  CheckpointInfo info;
+  std::string base;
+  std::vector<std::string> deltas;
+  uint64_t from_seq = 0;
+  out.from_chain = prefer_chain && UsableChain(g, &info, &base, &deltas);
+  if (out.from_chain) {
+    from_seq = info.seq;
+  } else if (!lost) {
+    // Fresh cut: the live state, whose suffix starts at the log end.
+    base = op->SerializeGroupState(local);
+    if (!group_logs_.empty()) from_seq = group_logs_[g].next_seq();
+  } else if (group_logs_[g].base_seq() > 0) {
+    // A lost group's fresh cut is empty state plus the whole log, which
+    // only works while the log still starts at seq 0.
+    return Status::Internal("replay log truncated past the latest checkpoint");
+  }
+  const int64_t restore_t0_ns = NowNs();
+  op->ClearGroupState(local);
+  if (out.from_chain || !lost) {
+    ALBIC_RETURN_NOT_OK(op->DeserializeGroupState(local, base));
+    out.base_bytes = base.size();
+  }
+  for (const std::string& d : deltas) {
+    ALBIC_RETURN_NOT_OK(op->ApplyGroupDelta(local, d));
+    out.delta_bytes += d.size();
+  }
+  // The wall time of every restore, per byte, is the observed restore rate
+  // the delta-aware compaction budget prices chains at.
+  ObserveRestoreRate(static_cast<double>(NowNs() - restore_t0_ns) / 1000.0,
+                     static_cast<double>(out.base_bytes + out.delta_bytes));
+  if (out.from_chain || lost) {  // a live fresh cut's suffix is empty
+    out.replayed = ReplayLogSuffix(g, from_seq);
+    period_.tuples_replayed += out.replayed;
+  }
+  return out;
+}
+
 void LocalEngine::StampEpochBoundaries() {
   if (epoch_pending_.empty()) return;
   PhaseScope prof_scope(coordinator_.prof, WavePhase::kMigration);
@@ -1124,76 +1164,33 @@ void LocalEngine::StampEpochBoundaries() {
     // Validate against the live migration record: FailNode may have
     // cancelled the move or turned the group into a lost one since Start —
     // stale entries drop out here.
-    if (!mig.active || mig.lost ||
-        (mig.mode != MigrationMode::kEpoch &&
-         mig.mode != MigrationMode::kLease) ||
+    if (!mig.active || mig.lost || MigrationBuffers(mig.mode) ||
         mig.epoch_stamped) {
       continue;
     }
-    if (mig.mode == MigrationMode::kLease) {
-      // Zero-copy reassignment: the group's state slot lives in the
-      // process-wide arena and never moves — flipping the lease at this
-      // quiescent instant IS the whole migration. No bytes serialized, no
-      // background transfer, and none of the checkpoint machinery is
-      // touched (the group's dirty flags, replay log and chain stay
-      // exactly as they are, so the failure path is unaffected).
-      ALBIC_TRACE_SPAN2("migration", "migration.lease.flip", "group", g, "to",
-                        mig.target);
-      if (!group_logs_.empty()) {
-        mig.epoch_boundary_seq = group_logs_[g].next_seq();
-      }
-      arena_.Flip(g, mig.target);
-      mig.epoch_stamped = true;
-      continue;
-    }
-    ALBIC_TRACE_SPAN2("migration", "migration.epoch.stamp", "group", g, "to",
-                      mig.target);
-    // The boundary: every logged event below this seq was processed at the
-    // old owner and travels with the chain cut; everything at or above it
-    // runs at the new owner after the flip.
-    mig.epoch_boundary_seq = group_logs_[g].next_seq();
+    const bool lease = mig.mode == MigrationMode::kLease;
+    ALBIC_TRACE_SPAN2("migration",
+                      lease ? "migration.lease.flip" : "migration.epoch.stamp",
+                      "group", g, "to", mig.target);
     const OperatorId op = topology_->group_operator(g);
-    const int local = topology_->group_index_in_operator(g);
-    if (operators_[op] != nullptr) {
+    if (!lease && operators_[op] != nullptr) {
       // Background transfer: rebuild the group "at the target" from the
-      // newest chain cut at the boundary — base, chained deltas, then the
-      // logged suffix below the stamped seq. At a quiescent instant the
-      // reconstruction is bit-identical to the live state (the checkpoint
-      // subsystem's core invariant), and none of these bytes are charged
-      // as pause: pre-boundary tuples kept processing while they moved.
-      CheckpointInfo info;
-      std::string base;
-      std::vector<std::string> deltas;
-      int64_t moved = 0;
-      if (checkpointer_->store()->LatestChain(g, &info, &base, &deltas) &&
-          group_logs_[g].base_seq() <= info.seq) {
-        operators_[op]->ClearGroupState(local);
-        Status s = operators_[op]->DeserializeGroupState(local, base);
-        moved += static_cast<int64_t>(base.size());
-        for (const std::string& d : deltas) {
-          if (s.ok()) s = operators_[op]->ApplyGroupDelta(local, d);
-          moved += static_cast<int64_t>(d.size());
-        }
-        if (s.ok()) {
-          const int64_t replayed = ReplayLogSuffix(g, info.seq);
-          period_.tuples_replayed += replayed;
-          moved += replayed * static_cast<int64_t>(sizeof(Tuple));
-        } else if (epoch_error_.ok()) {
-          epoch_error_ = s;  // surfaced by the group's FinishMigration
+      // newest chain plus the logged suffix (or a fresh cut). At a
+      // quiescent instant the result is bit-identical to the live state,
+      // and none of these bytes are charged as pause: pre-boundary tuples
+      // kept processing while they moved. A lease skips all of this — the
+      // state slot lives in the arena and never moves.
+      const Result<RestoreOutcome> r = RestoreGroup(g, /*prefer_chain=*/true);
+      if (r.ok()) {
+        const int64_t moved = static_cast<int64_t>(
+            static_cast<double>(r->base_bytes + r->delta_bytes) +
+            r->suffix_bytes());
+        period_.epoch_transfer_bytes += moved;
+        if (metrics_.migration_bytes_epoch != nullptr) {
+          metrics_.migration_bytes_epoch->Add(moved);
         }
       } else {
-        // No usable chain (e.g. the log was truncated past it): round-trip
-        // the live state instead — still in the background, still no
-        // pause, just the whole state's bytes on the wire.
-        const std::string state = operators_[op]->SerializeGroupState(local);
-        operators_[op]->ClearGroupState(local);
-        const Status s = operators_[op]->DeserializeGroupState(local, state);
-        if (!s.ok() && epoch_error_.ok()) epoch_error_ = s;
-        moved += static_cast<int64_t>(state.size());
-      }
-      period_.epoch_transfer_bytes += moved;
-      if (metrics_.migration_bytes_epoch != nullptr) {
-        metrics_.migration_bytes_epoch->Add(moved);
+        mig.error = r.status();
       }
     }
     // The atomic routing flip: from here every delivery — in-flight mailbox
@@ -1212,119 +1209,61 @@ Result<double> LocalEngine::FinishMigration(KeyGroupId group) {
   if (mig.lost) {
     return Status::InvalidArgument("group is lost; use RecoverGroup");
   }
-  const OperatorId op = topology_->group_operator(group);
-  const int local = topology_->group_index_in_operator(group);
 
-  if (mig.mode == MigrationMode::kLease) {
-    ALBIC_TRACE_SPAN1("migration", "migration.lease.finish", "group", group);
+  if (!MigrationBuffers(mig.mode)) {
+    const bool lease = mig.mode == MigrationMode::kLease;
+    ALBIC_TRACE_SPAN1(
+        "migration",
+        lease ? "migration.lease.finish" : "migration.epoch.finish", "group",
+        group);
     // The driving thread being here is itself a quiescent instant — if no
-    // wave barrier happened since Start, flip the lease now.
+    // wave barrier happened since Start, stamp the boundary now.
     if (!mig.epoch_stamped) StampEpochBoundaries();
-    // Ownership changed hands at the flip; no bytes moved, nothing
-    // buffered, nothing can have failed. The pause is the single wave
-    // barrier — zero in the engine's byte-proportional model.
-    mig.active = false;
-    mig.target = kInvalidNode;
-    mig.mode = MigrationMode::kDirect;
-    mig.epoch_stamped = false;
-    mig.epoch_boundary_seq = 0;
-    DrainMigrationBuffer(group);  // empty by construction; keeps the invariant
-    if (metrics_.migrations_lease != nullptr) {
-      metrics_.migrations_lease->Increment();
-    }
-    return 0.0;
-  }
-
-  if (mig.mode == MigrationMode::kEpoch) {
-    ALBIC_TRACE_SPAN1("migration", "migration.epoch.finish", "group", group);
-    // The driving thread being here is itself a quiescent instant — if no
-    // wave barrier happened since Start (nothing was injected), stamp the
-    // boundary now.
-    if (!mig.epoch_stamped) StampEpochBoundaries();
-    if (!epoch_error_.ok()) {
-      const Status err = epoch_error_;
-      epoch_error_ = Status::OK();
+    if (!mig.error.ok()) {
+      const Status err = mig.error;
+      mig.error = Status::OK();
       return err;
     }
-    // Routing flipped and the state travelled at the stamp; nothing
-    // buffered and nothing drained, so the observed pause is the single
-    // wave barrier — zero in the engine's byte-proportional model.
-    mig.active = false;
-    mig.target = kInvalidNode;
-    mig.mode = MigrationMode::kDirect;
-    mig.epoch_stamped = false;
-    mig.epoch_boundary_seq = 0;
+    // Routing flipped at the stamp; nothing buffered and nothing drains, so
+    // the pause is the single wave barrier — zero in the engine's
+    // byte-proportional model.
+    mig.End();
     DrainMigrationBuffer(group);  // empty by construction; keeps the invariant
-    if (metrics_.migrations_epoch != nullptr) {
-      metrics_.migrations_epoch->Increment();
-    }
+    CounterMetric* done =
+        lease ? metrics_.migrations_lease : metrics_.migrations_epoch;
+    if (done != nullptr) done->Increment();
     return 0.0;
   }
 
   double pause_us = 0.0;
-  bool indirect_done = false;
-  if (operators_[op] != nullptr) {
-    if (mig.mode == MigrationMode::kIndirect) {
-      // Indirect migration (§3): the target restores the group's latest
-      // checkpoint chain — the base is transferred in the background, so
-      // it contributes no pause — then applies the chained deltas and
-      // replays the logged suffix during the pause. O(change) instead of
-      // O(state); with deltas off the chain is just the base and this is
-      // the original O(suffix) pause.
-      CheckpointInfo info;
-      std::string base;
-      std::vector<std::string> deltas;
-      if (checkpointer_->store()->LatestChain(group, &info, &base, &deltas) &&
-          group_logs_[group].base_seq() <= info.seq) {
-        ALBIC_TRACE_SPAN2("migration", "migration.indirect", "group", group,
-                          "to", mig.target);
-        const int64_t restore_t0_ns = NowNs();
-        operators_[op]->ClearGroupState(local);
-        ALBIC_RETURN_NOT_OK(
-            operators_[op]->DeserializeGroupState(local, base));
-        double delta_bytes = 0.0;
-        for (const std::string& d : deltas) {
-          ALBIC_RETURN_NOT_OK(operators_[op]->ApplyGroupDelta(local, d));
-          delta_bytes += static_cast<double>(d.size());
-        }
-        // The wall time of this chain restore, per byte, is the observed
-        // restore rate the delta-aware compaction budget prices chains at.
-        ObserveRestoreRate(
-            static_cast<double>(NowNs() - restore_t0_ns) / 1000.0,
-            static_cast<double>(base.size()) + delta_bytes);
-        const int64_t replayed = ReplayLogSuffix(group, info.seq);
-        period_.tuples_replayed += replayed;
-        pause_us = kEnginePauseUsPerByte *
-                   (static_cast<double>(replayed) * sizeof(Tuple) +
-                    delta_bytes);
-        if (metrics_.migration_bytes_indirect != nullptr) {
-          metrics_.migration_bytes_indirect->Add(static_cast<int64_t>(
-              static_cast<double>(replayed) * sizeof(Tuple) + delta_bytes));
-        }
-        indirect_done = true;
-      }
-      // No usable checkpoint — fall back to the direct round-trip below.
-    }
-    if (!indirect_done) {
-      // Direct state migration: serialize at the source, clear,
-      // deserialize at the target. In this single-process runtime the
-      // round-trip is real; the inter-node transfer is modeled as pause
-      // time proportional to the serialized size (2.5 s/MiB, §5.2.2).
-      ALBIC_TRACE_SPAN2("migration", "migration.direct", "group", group, "to",
-                        mig.target);
-      const std::string state = operators_[op]->SerializeGroupState(local);
-      operators_[op]->ClearGroupState(local);
-      ALBIC_RETURN_NOT_OK(operators_[op]->DeserializeGroupState(local, state));
-      pause_us = kEnginePauseUsPerByte * static_cast<double>(state.size());
-      if (metrics_.migration_bytes_direct != nullptr) {
-        metrics_.migration_bytes_direct->Add(
-            static_cast<int64_t>(state.size()));
-      }
-    }
+  bool indirect = false;
+  if (operators_[topology_->group_operator(group)] != nullptr) {
+    // Indirect migration (§3) restores the newest usable chain: the base
+    // travels in the background, so only the chained deltas and the
+    // replayed suffix pause — O(change) instead of O(state). Direct (and
+    // indirect without a usable chain) restores a fresh cut: the state is
+    // serialized at the source and deserialized at the target, the
+    // inter-node transfer modeled as pause proportional to its size
+    // (2.5 s/MiB, §5.2.2).
+    CheckpointInfo info;
+    indirect = mig.mode == MigrationMode::kIndirect &&
+               UsableChain(group, &info);
+    ALBIC_TRACE_SPAN2("migration",
+                      indirect ? "migration.indirect" : "migration.direct",
+                      "group", group, "to", mig.target);
+    ALBIC_ASSIGN_OR_RETURN(const RestoreOutcome r,
+                           RestoreGroup(group, indirect));
+    const double bytes =
+        indirect ? static_cast<double>(r.delta_bytes) + r.suffix_bytes()
+                 : static_cast<double>(r.base_bytes);
+    pause_us = kEnginePauseUsPerByte * bytes;
+    CounterMetric* moved = indirect ? metrics_.migration_bytes_indirect
+                                    : metrics_.migration_bytes_direct;
+    if (moved != nullptr) moved->Add(static_cast<int64_t>(bytes));
   }
   period_.migration_pause_us += pause_us;
   if (options_.metrics != nullptr) {
-    (indirect_done ? metrics_.migrations_indirect : metrics_.migrations_direct)
+    (indirect ? metrics_.migrations_indirect : metrics_.migrations_direct)
         ->Increment();
   }
   // Tuples that buffered while the group was unavailable experienced the
@@ -1332,10 +1271,7 @@ Result<double> LocalEngine::FinishMigration(KeyGroupId group) {
   RecordBufferedPause(pause_us, mig.buffer.size());
 
   arena_.Flip(group, mig.target);
-  mig.active = false;
-  mig.target = kInvalidNode;
-  mig.mode = MigrationMode::kDirect;
-
+  mig.End();
   DrainMigrationBuffer(group);
   return pause_us;
 }
@@ -1364,26 +1300,17 @@ MigrationPauseEstimate LocalEngine::EstimateMigrationPause(
     est.epoch_available = true;
     est.epoch_us = 0.0;
     CheckpointInfo info;
-    if (checkpointer_->store()->Latest(group, &info, /*state=*/nullptr) &&
-        group_logs_[group].base_seq() <= info.seq) {
+    if (UsableChain(group, &info)) {
       // FinishMigration replays exactly the events with seq >= info.seq
       // and applies exactly the chained delta records, so at a quiescent
       // point this prediction is exact.
-      const uint64_t suffix_events =
-          group_logs_[group].next_seq() - info.seq;
       est.indirect_us =
           kEnginePauseUsPerByte *
-          (static_cast<double>(suffix_events) * sizeof(Tuple) +
+          (static_cast<double>(group_logs_[group].next_seq() - info.seq) *
+               sizeof(Tuple) +
            static_cast<double>(
                checkpointer_->store()->ChainDeltaBytes(group)));
       est.indirect_available = true;
-      est.epoch_transfer_bytes =
-          static_cast<double>(checkpointer_->store()->ChainBytes(group)) +
-          static_cast<double>(suffix_events) * sizeof(Tuple);
-    } else {
-      // No usable chain: the stamp would round-trip the live state in the
-      // background instead — still zero pause, just more bytes shipped.
-      est.epoch_transfer_bytes = topology_->group_state_bytes(group);
     }
   }
   return est;
@@ -1395,8 +1322,7 @@ std::vector<double> LocalEngine::ReplaySuffixBytes() const {
   out.assign(static_cast<size_t>(topology_->num_key_groups()), -1.0);
   for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
     CheckpointInfo info;
-    if (checkpointer_->store()->Latest(g, &info, /*state=*/nullptr) &&
-        group_logs_[g].base_seq() <= info.seq) {
+    if (UsableChain(g, &info)) {
       out[g] = static_cast<double>(group_logs_[g].next_seq() - info.seq) *
                sizeof(Tuple);
     }
@@ -1419,24 +1345,6 @@ std::vector<uint8_t> LocalEngine::LeaseAvailability() const {
                            1);
   for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
     if (migrating_[g].lost) out[static_cast<size_t>(g)] = 0;
-  }
-  return out;
-}
-
-std::vector<double> LocalEngine::EpochTransferBytes() const {
-  std::vector<double> out;
-  if (checkpointer_ == nullptr) return out;
-  out.assign(static_cast<size_t>(topology_->num_key_groups()), -1.0);
-  for (KeyGroupId g = 0; g < topology_->num_key_groups(); ++g) {
-    CheckpointInfo info;
-    if (checkpointer_->store()->Latest(g, &info, /*state=*/nullptr) &&
-        group_logs_[g].base_seq() <= info.seq) {
-      // What the stamp would ship: the newest chain cut at the boundary
-      // plus the logged suffix replayed on top of it.
-      out[g] = static_cast<double>(checkpointer_->store()->ChainBytes(g)) +
-               static_cast<double>(group_logs_[g].next_seq() - info.seq) *
-                   sizeof(Tuple);
-    }
   }
   return out;
 }
@@ -1618,28 +1526,21 @@ Status LocalEngine::FailNode(NodeId node) {
             topology_->group_index_in_operator(g));
       }
       if (!mig.lost) lost_groups_.push_back(g);
-      mig.active = true;
-      mig.lost = true;
-      mig.target = kInvalidNode;
-      mig.mode = MigrationMode::kDirect;
       // A stamped epoch/lease group lives on the dead node already
       // (routing flipped at the stamp) and is handled right here as a
       // lost group; an unstamped one self-cleans out of epoch_pending_
       // because its mode is no longer kEpoch/kLease. Either way the lease
       // is dead with the node: recovery goes through checkpoint + replay
       // (RecoverGroup), never through another flip.
-      mig.epoch_stamped = false;
-      mig.epoch_boundary_seq = 0;
+      mig.End();
+      mig.active = true;
+      mig.lost = true;
     } else if (mig.active && mig.target == node) {
       // Migration toward the dead node: the state never left the source —
       // cancel the move and release the buffered tuples at the source.
       // (For an unstamped epoch or lease move nothing buffered; the
       // pending entry self-cleans at the next stamp pass.)
-      mig.active = false;
-      mig.target = kInvalidNode;
-      mig.mode = MigrationMode::kDirect;
-      mig.epoch_stamped = false;
-      mig.epoch_boundary_seq = 0;
+      mig.End();
       DrainMigrationBuffer(g);
     }
   }
@@ -1658,52 +1559,25 @@ Result<GroupRecovery> LocalEngine::RecoverGroup(KeyGroupId group, NodeId to) {
       !cluster_->is_active(to)) {
     return Status::InvalidArgument("recovery target node not active");
   }
-  const OperatorId op = topology_->group_operator(group);
-  const int local = topology_->group_index_in_operator(group);
   GroupRecovery out;
   ALBIC_TRACE_SPAN2("recovery", "recovery.group", "group", group, "to", to);
   PhaseScope prof_scope(coordinator_.prof, WavePhase::kRecovery);
-  if (operators_[op] != nullptr) {
-    // Reconstruct: latest checkpoint chain + logged suffix. The state was
-    // cleared at failure time, so a group that was never checkpointed
-    // replays its full log onto fresh state (EnableCheckpointing's initial
-    // full round makes that case an error-path rarity, not the norm).
-    CheckpointInfo info;
-    std::string base;
-    std::vector<std::string> deltas;
-    uint64_t from_seq = 0;
-    if (checkpointer_->store()->LatestChain(group, &info, &base, &deltas)) {
-      const int64_t restore_t0_ns = NowNs();
-      ALBIC_RETURN_NOT_OK(operators_[op]->DeserializeGroupState(local, base));
-      out.restored_bytes = base.size();
-      for (const std::string& d : deltas) {
-        ALBIC_RETURN_NOT_OK(operators_[op]->ApplyGroupDelta(local, d));
-        out.restored_bytes += d.size();
-      }
-      // Fold this restore's wall time into the observed restore rate the
-      // delta-aware compaction budget uses.
-      ObserveRestoreRate(
-          static_cast<double>(NowNs() - restore_t0_ns) / 1000.0,
-          static_cast<double>(out.restored_bytes));
-      from_seq = info.seq;
-    }
-    if (group_logs_[group].base_seq() > from_seq) {
-      return Status::Internal(
-          "replay log truncated past the latest checkpoint");
-    }
-    out.replayed = ReplayLogSuffix(group, from_seq);
-    out.pause_us =
-        kEnginePauseUsPerByte *
-        (static_cast<double>(out.restored_bytes) +
-         static_cast<double>(out.replayed) * sizeof(Tuple));
-    period_.tuples_replayed += out.replayed;
+  if (operators_[topology_->group_operator(group)] != nullptr) {
+    // Reconstruct: newest usable chain + logged suffix. The state was
+    // cleared at failure time, so a group without a usable chain replays
+    // its whole log onto empty state (EnableCheckpointing's initial full
+    // round makes that case an error-path rarity, not the norm).
+    ALBIC_ASSIGN_OR_RETURN(const RestoreOutcome r,
+                           RestoreGroup(group, /*prefer_chain=*/true));
+    out.replayed = r.replayed;
+    out.restored_bytes = r.base_bytes + r.delta_bytes;
+    out.pause_us = kEnginePauseUsPerByte *
+                   (static_cast<double>(out.restored_bytes) + r.suffix_bytes());
   }
   ++period_.groups_recovered;
   RecordBufferedPause(out.pause_us, mig.buffer.size());
   arena_.Flip(group, to);
-  mig.active = false;
-  mig.lost = false;
-  mig.target = kInvalidNode;
+  mig.End();
   lost_groups_.erase(
       std::remove(lost_groups_.begin(), lost_groups_.end(), group),
       lost_groups_.end());

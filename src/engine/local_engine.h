@@ -2,10 +2,10 @@
 
 /// \file
 /// \brief LocalEngine, the single-process PSPE runtime: executes
-/// operator code over simulated nodes in batched waves, and implements
-/// direct, indirect (checkpoint + replay), epoch-marker (stamp at a wave
-/// barrier, background transfer, atomic routing flip) and lease (zero-copy
-/// ownership flip over the shared state arena) state migration plus
+/// operator code over simulated nodes in batched waves, and moves state
+/// with two mechanisms — a lease flip over the shared state arena, and a
+/// restore (base + delta chain + replayed log suffix) — under four
+/// migration policies (direct, indirect, epoch, lease) plus
 /// checkpoint-based failure recovery.
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/metrics_registry.h"
@@ -36,6 +37,7 @@
 namespace albic::engine {
 
 class CheckpointCoordinator;
+struct CheckpointInfo;
 
 /// \brief How the runtime executes operator code. The batched wave runtime
 /// is the only one; the enum and LocalEngineOptions::mode remain so existing
@@ -109,12 +111,12 @@ struct EnginePeriodStats {
   double migration_pause_us = 0.0;  ///< Summed migration pause time.
   int64_t checkpoints_taken = 0;    ///< Group snapshots written this period.
   int64_t checkpoint_bytes = 0;     ///< Serialized snapshot bytes written.
-  int64_t tuples_replayed = 0;      ///< Log entries reapplied (indirect
-                                    ///< migration + recovery).
+  int64_t tuples_replayed = 0;      ///< Log entries reapplied (restores
+                                    ///< from a chain + recovery).
   int64_t groups_recovered = 0;     ///< Lost groups restored this period.
   /// Bytes epoch migrations shipped in the background this period (chain
-  /// cut + replayed suffix, or the fallback round-trip's state bytes) —
-  /// transfer volume that, by design, contributed zero pause.
+  /// cut + replayed suffix, or a fresh cut's state bytes) — transfer
+  /// volume that, by design, contributed zero pause.
   int64_t epoch_transfer_bytes = 0;
   /// Source tuples entering the engine per ingestion shard this period
   /// (index = shard id; Inject/InjectBatch count as shard 0, InjectRouted
@@ -172,8 +174,8 @@ struct MigrationPauseEstimate {
   /// replay precisely these events. Meaningless unless indirect_available.
   double indirect_us = 0.0;
   /// The group has a usable checkpoint (one whose covered prefix the
-  /// replay log still reaches); without one an indirect migration would
-  /// fall back to the direct round-trip.
+  /// replay log still reaches); without one an indirect migration restores
+  /// a fresh cut, exactly like a direct one.
   bool indirect_available = false;
   /// Epoch-marker pause: one wave barrier, independent of state and suffix
   /// size — modeled as zero. Meaningless unless epoch_available.
@@ -181,10 +183,6 @@ struct MigrationPauseEstimate {
   /// Epoch migration is available (checkpointing enabled: the background
   /// transfer rides the chain + replay-log machinery).
   bool epoch_available = false;
-  /// Bytes an epoch migration would ship in the background: the newest
-  /// chain cut at the boundary plus the logged suffix (or the live state
-  /// for the round-trip fallback). Informational — none of it pauses.
-  double epoch_transfer_bytes = 0.0;
   /// Lease flip: reassign the group's slot in the shared state arena —
   /// zero bytes serialized, zero background transfer, pause bounded by one
   /// wave barrier. Modeled as zero. Meaningless unless lease_available.
@@ -199,9 +197,13 @@ struct MigrationPauseEstimate {
 ///
 /// Executes real operator code, routes across the topology per the edges'
 /// partitioning patterns, accounts processing and serialization work per
-/// (simulated) node, and implements direct state migration (§3): upstreams
-/// redirect, new tuples buffer at the target, the state is
-/// serialized/deserialized, then buffered tuples drain.
+/// (simulated) node, and migrates state (§3). Two mechanisms move a group:
+/// a lease flip (ownership changes, no bytes move) and a restore (the
+/// target rebuilds the group from an image — the newest usable checkpoint
+/// chain, or a fresh cut of the live state — and replays the logged suffix
+/// past it). The four MigrationMode values are policies over them: when
+/// the switch happens (buffer until Finish, or at a wave barrier) and which
+/// image is restored. Failure recovery is the same restore.
 ///
 /// Injected tuples stage into per-(operator, key-group) TupleBatches; a
 /// drain processes them in waves — each wave takes the current node
@@ -262,23 +264,23 @@ class LocalEngine {
   /// subsequent tuples for the group buffer at the target until Finish.
   /// kEpoch/kLease: nothing buffers — the group keeps processing at the
   /// old owner until the boundary stamp (epoch) or lease flip at the next
-  /// wave barrier (see FinishMigration). kIndirect requires checkpointing
-  /// to be enabled (EnableCheckpointing); kEpoch silently falls back to
-  /// kDirect without it (the caller asked for a move, not for a
-  /// mechanism). kLease needs no checkpointing at all — the state never
+  /// wave barrier (see FinishMigration). Without checkpointing (see
+  /// EnableCheckpointing) kIndirect and kEpoch degrade to kDirect: there
+  /// is no chain to restore, and the caller asked for a move, not for a
+  /// mechanism. kLease needs no checkpointing at all — the state never
   /// leaves the arena.
   Status StartMigration(KeyGroupId group, NodeId to,
                         MigrationMode mode = MigrationMode::kDirect);
 
   /// \brief Completes the migration and returns the modeled pause time
-  /// (us). Direct: serialize -> move -> deserialize -> drain the buffer;
-  /// the pause is O(state). Indirect: the target restores the group's
-  /// latest checkpoint (background transfer, no pause) and replays the
-  /// logged suffix, so the pause is O(suffix); falls back to the direct
-  /// pause when the group has no checkpoint yet. Epoch: the boundary was
-  /// stamped at a wave barrier (here, if none occurred since Start), the
-  /// state unit travelled in the background and routing already flipped —
-  /// nothing buffered, nothing drains, and the returned pause is zero.
+  /// (us). Direct: restore a fresh cut of the live state, then drain the
+  /// buffer; the pause is O(state). Indirect: restore the group's newest
+  /// usable chain (the base travels in the background, no pause) and
+  /// replay the logged suffix, so the pause is O(deltas + suffix); without
+  /// a usable chain it is a direct migration. Epoch and lease: the
+  /// boundary was stamped at a wave barrier (here, if none occurred since
+  /// Start) — an epoch group was restored then, a lease group just changed
+  /// owner — so nothing buffered, nothing drains, and the pause is zero.
   Result<double> FinishMigration(KeyGroupId group);
 
   /// \brief Convenience: start + finish in one step.
@@ -304,13 +306,6 @@ class LocalEngine {
   /// when checkpointing is disabled. Feeds
   /// MeasuredSignals::delta_chain_bytes.
   std::vector<double> DeltaChainBytes() const;
-
-  /// \brief Per-group bytes an epoch migration would ship in the
-  /// background (newest chain + logged suffix); -1 for groups without a
-  /// usable checkpoint, whose epoch stamp would instead round-trip the
-  /// live state off the pause path. Empty when checkpointing is disabled.
-  /// Feeds MeasuredSignals::epoch_transfer_bytes.
-  std::vector<double> EpochTransferBytes() const;
 
   /// \brief Per-group lease availability: 1 when the group's slot holds
   /// live state in the arena (ownership can flip by lease, zero bytes),
@@ -367,11 +362,12 @@ class LocalEngine {
   const std::vector<KeyGroupId>& lost_groups() const { return lost_groups_; }
 
   /// \brief Restores a lost group onto \p to: deserializes the group's
-  /// latest checkpoint, replays the logged suffix (emissions are
-  /// discarded — downstream groups already received them), reassigns the
-  /// group, and drains the tuples buffered during the outage. Zero tuples
-  /// are lost: everything delivered before the failure is covered by
-  /// checkpoint + log, everything after it sits in the buffer.
+  /// newest usable chain (or, without one, starts from empty state),
+  /// replays the logged suffix (emissions are discarded — downstream
+  /// groups already received them), reassigns the group, and drains the
+  /// tuples buffered during the outage. Zero tuples are lost: everything
+  /// delivered before the failure is covered by checkpoint + log,
+  /// everything after it sits in the buffer.
   Result<GroupRecovery> RecoverGroup(KeyGroupId group, NodeId to);
 
   /// \brief Cumulative tuples ingested per source shard over the engine's
@@ -431,15 +427,35 @@ class LocalEngine {
     MigrationMode mode = MigrationMode::kDirect;
     NodeId target = kInvalidNode;
     /// kEpoch/kLease only: the boundary was stamped at a wave barrier —
-    /// the state unit transferred (epoch) or the lease flipped (lease) and
-    /// routing changed hands; Finish is pure bookkeeping.
+    /// the state was restored at the target (epoch) or the lease flipped
+    /// (lease) and routing changed hands; Finish is pure bookkeeping.
     bool epoch_stamped = false;
-    /// kEpoch/kLease only: replay-log seq of the stamped boundary. For
-    /// epoch, entries below it travelled with the chain cut; entries at or
-    /// above it were processed at the new owner. For lease, informational
-    /// (nothing travels).
-    uint64_t epoch_boundary_seq = 0;
+    /// kEpoch only: the stamp's restore failed. Parked here because the
+    /// stamp runs where no Status can be returned; this group's
+    /// FinishMigration surfaces it.
+    Status error = Status::OK();
     std::deque<Tuple> buffer;
+
+    /// Ends the migration or recovery (the buffer is the caller's to drain).
+    void End() {
+      active = false;
+      lost = false;
+      mode = MigrationMode::kDirect;
+      target = kInvalidNode;
+      epoch_stamped = false;
+      error = Status::OK();
+    }
+  };
+
+  /// What one RestoreGroup call rebuilt the group from.
+  struct RestoreOutcome {
+    bool from_chain = false;  ///< The newest usable chain (else a fresh cut).
+    uint64_t base_bytes = 0;  ///< Chain base, or the fresh cut's state.
+    uint64_t delta_bytes = 0; ///< Chained delta records applied.
+    int64_t replayed = 0;     ///< Replay-log entries reapplied.
+    double suffix_bytes() const {
+      return static_cast<double>(replayed) * sizeof(Tuple);
+    }
   };
 
   /// One staged unit of work: a batch bound for (op, group).
@@ -506,14 +522,29 @@ class LocalEngine {
   /// Reapplies logged entries with seq >= \p from_seq to the group's
   /// operator state, discarding emissions; returns the entry count.
   int64_t ReplayLogSuffix(KeyGroupId g, uint64_t from_seq);
+  /// True when \p g has a checkpoint whose covered prefix the replay log
+  /// still reaches; fills \p info, and the chain itself when \p base is
+  /// non-null. False whenever checkpointing is off.
+  bool UsableChain(KeyGroupId g, CheckpointInfo* info,
+                   std::string* base = nullptr,
+                   std::vector<std::string>* deltas = nullptr) const;
+  /// The one byte-moving mechanism: clears \p g's operator state and
+  /// rebuilds it from an image, then replays the logged suffix past the
+  /// image. With \p prefer_chain the image is the newest usable chain when
+  /// one exists; otherwise it is a fresh cut — the live state with an
+  /// empty suffix, or, for a group lost with its node, empty state with
+  /// the whole log as suffix. Counts the replayed entries into the period
+  /// and folds the restore's wall time into the observed restore rate.
+  /// The group's operator must exist.
+  Result<RestoreOutcome> RestoreGroup(KeyGroupId g, bool prefer_chain);
   /// The restore rate the compaction budget prices chains at: the observed
   /// EWMA when one exists, the modeled engine rate until then.
   double RestoreRateUsPerByte() const {
     return observed_restore_us_per_byte_ > 0.0 ? observed_restore_us_per_byte_
                                                : kEnginePauseUsPerByte;
   }
-  /// Folds one measured restore (wall \p wall_us over \p bytes of chain
-  /// data) into the observed restore-rate EWMA.
+  /// Folds one measured restore (wall \p wall_us over \p bytes of
+  /// restored image) into the observed restore-rate EWMA.
   void ObserveRestoreRate(double wall_us, double bytes) {
     if (bytes <= 0.0 || wall_us < 0.0) return;
     const double rate = wall_us / bytes;
@@ -525,16 +556,15 @@ class LocalEngine {
   /// Drains the tuples buffered for a group while it migrated/recovered.
   void DrainMigrationBuffer(KeyGroupId g);
   /// Epoch and lease migrations: called on the driving thread at quiescent
-  /// instants (wave barriers, FinishMigration). For every
-  /// group with a pending kEpoch/kLease migration this instant IS the
-  /// boundary. kEpoch: pins the boundary seq, performs the background
-  /// state transfer (chain cut + suffix replay, or a round-trip when no
-  /// usable chain exists) and atomically flips the group's routing to the
-  /// target — batches already in flight resolve the new owner at delivery,
-  /// redirected rather than stalled. kLease: the state slot never moves —
-  /// the lease flip IS the whole migration, zero bytes. A failed epoch
-  /// transfer is parked in epoch_error_ for FinishMigration to surface
-  /// (the callers here cannot return Status); lease flips cannot fail.
+  /// instants (wave barriers, FinishMigration). For every group with a
+  /// pending kEpoch/kLease migration this instant IS the boundary. kEpoch
+  /// restores the group at the target in the background (RestoreGroup,
+  /// chain preferred); both then atomically flip the group's routing to
+  /// the target — batches already in flight resolve the new owner at
+  /// delivery, redirected rather than stalled. A lease never moves the
+  /// state slot: the flip is the whole migration, zero bytes. A failed
+  /// epoch restore is parked in the group's MigrationState::error for its
+  /// FinishMigration to surface; lease flips cannot fail.
   void StampEpochBoundaries();
 
   // --- latency telemetry helpers ---
@@ -669,9 +699,6 @@ class LocalEngine {
   /// lease flip; entries are validated against migrating_ at the stamp,
   /// so cancelled or failed-over migrations self-clean.
   std::vector<KeyGroupId> epoch_pending_;
-  /// First background-transfer failure since the last FinishMigration of
-  /// an epoch group (stamping happens in void contexts).
-  Status epoch_error_ = Status::OK();
   EnginePeriodStats period_;
 
   // Checkpointing state (unused until EnableCheckpointing).
@@ -690,8 +717,8 @@ class LocalEngine {
   /// delta-aware compaction forces a fresh base once the chain's measured
   /// restore cost exceeds this budget, independent of chain length.
   double chain_restore_budget_us_ = 0.0;
-  /// Observed restore rate (us per chain byte), EWMA over actual restores
-  /// (indirect migrations, recovery); 0 until the first observation, when
+  /// Observed restore rate (us per restored byte), EWMA over every
+  /// RestoreGroup call; 0 until the first observation, when
   /// the modeled kEnginePauseUsPerByte stands in. Feeds the compaction
   /// budget's "bytes × observed restore rate" cost estimate.
   double observed_restore_us_per_byte_ = 0.0;

@@ -3,7 +3,8 @@
 // overload measured from the stream triggers scale-out, the planned
 // migrations land on the live engine, a cooling stream scales back in, and
 // the latency-SLO trigger fires rounds early (with cooldown) when the
-// observed end-to-end p99 breaches its bound.
+// observed end-to-end p99 breaches its bound. The per-group migration mode
+// rule is checked against its decision table.
 
 #include <gtest/gtest.h>
 
@@ -264,6 +265,79 @@ TEST(ControllerLoopTest, IngestBatchHonoursBoundariesInsideChunk) {
   // Every period's tuples were attributed to their own round.
   EXPECT_EQ(h.controller->history()[0].tuples_processed, 50);
   EXPECT_EQ(h.controller->history()[1].tuples_processed, 50);
+}
+
+// The mode rule as a table: every availability combination the engine can
+// report, and the ties — indirect and epoch must be strictly cheaper than
+// the current winner, a lease wins a tie.
+TEST(ChooseMigrationModeTest, FollowsTheDecisionTable) {
+  using engine::MigrationMode;
+  struct Row {
+    const char* name;
+    bool checkpointed;  ///< Epoch availability is exactly checkpointing.
+    bool chain;         ///< A usable chain: indirect is available.
+    bool live;          ///< Lease availability: the state is in the arena.
+    double direct_us;
+    double indirect_us;
+    bool allow_epoch;
+    bool allow_lease;
+    MigrationMode want;
+    double want_us;
+    const char* want_reason;
+  };
+  constexpr MigrationMode kD = MigrationMode::kDirect;
+  constexpr MigrationMode kI = MigrationMode::kIndirect;
+  constexpr MigrationMode kE = MigrationMode::kEpoch;
+  constexpr MigrationMode kL = MigrationMode::kLease;
+  const Row rows[] = {
+      {"no checkpointing", false, false, true, 50, 0, true, false, kD, 50,
+       "no-checkpointing"},
+      {"no checkpointing, lease", false, false, true, 50, 0, true, true, kL,
+       0, "lease-zero-cost"},
+      {"no checkpointing, lost", false, false, false, 50, 0, true, true, kD,
+       50, "no-checkpointing"},
+      {"no chain", true, false, true, 50, 0, false, false, kD, 50,
+       "direct-cheapest"},
+      {"indirect cheaper", true, true, true, 50, 20, false, false, kI, 20,
+       "indirect-cheaper"},
+      {"indirect ties direct", true, true, true, 50, 50, false, false, kD, 50,
+       "direct-cheapest"},
+      {"indirect dearer", true, true, true, 50, 80, false, false, kD, 50,
+       "direct-cheapest"},
+      {"epoch beats indirect", true, true, true, 50, 20, true, false, kE, 0,
+       "epoch-zero-pause"},
+      {"epoch beats direct", true, false, true, 50, 0, true, false, kE, 0,
+       "epoch-zero-pause"},
+      {"indirect 0 against epoch", true, true, true, 50, 0, true, false, kI,
+       0, "indirect-cheaper"},
+      {"epoch 0 against lease 0", true, true, true, 50, 20, true, true, kL, 0,
+       "lease-zero-cost"},
+      {"lease off", true, true, true, 50, 20, true, false, kE, 0,
+       "epoch-zero-pause"},
+      {"lease unavailable", true, true, false, 50, 20, true, true, kE, 0,
+       "epoch-zero-pause"},
+      {"lease beats indirect", true, true, true, 50, 20, false, true, kL, 0,
+       "lease-zero-cost"},
+      {"empty state, direct 0", true, true, true, 0, 0, true, false, kD, 0,
+       "direct-cheapest"},
+      {"empty state, lease ties", true, true, true, 0, 0, true, true, kL, 0,
+       "lease-zero-cost"},
+  };
+  for (const Row& row : rows) {
+    engine::MigrationPauseEstimate est;
+    est.direct_us = row.direct_us;
+    est.indirect_available = row.chain;
+    est.indirect_us = row.chain ? row.indirect_us : 0.0;
+    est.epoch_available = row.checkpointed;
+    est.epoch_us = 0.0;
+    est.lease_available = row.live;
+    est.lease_us = 0.0;
+    const core::MigrationChoice got =
+        core::ChooseMigrationMode(est, row.allow_epoch, row.allow_lease);
+    EXPECT_EQ(got.mode, row.want) << row.name;
+    EXPECT_EQ(got.predicted_pause_us, row.want_us) << row.name;
+    EXPECT_STREQ(got.reason, row.want_reason) << row.name;
+  }
 }
 
 }  // namespace

@@ -267,8 +267,7 @@ TEST(MeasuredCostPlanningTest, MigrationModeChosenPerGroupFromCostModel) {
   engine::LoadModel load_model{engine::CostModel{}};
   core::ControllerLoopOptions copts;
   copts.period_every_us = 0;  // rounds only via RunRoundNow
-  // Per-group mode selection is the default: use_indirect_migration stays
-  // false, and checkpointing is on.
+  // Per-group mode selection, with checkpointing on.
   core::ControllerLoop controller(&engine, &framework, &load_model, &topo,
                                   &cluster, copts);
 

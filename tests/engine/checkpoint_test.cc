@@ -643,9 +643,12 @@ TEST(CheckpointRecoveryTest, IndirectMigrationWithDeltaChainsMatchesDirect) {
 TEST(CheckpointRecoveryTest, FailNodeRequiresCheckpointing) {
   Pipeline p;
   EXPECT_FALSE(p.engine->FailNode(0).ok());
-  EXPECT_FALSE(p.engine
-                   ->StartMigration(0, 1, engine::MigrationMode::kIndirect)
-                   .ok());
+  // A move needs no checkpointing: an indirect request degrades to direct.
+  ASSERT_TRUE(p.engine
+                  ->StartMigration(0, 1, engine::MigrationMode::kIndirect)
+                  .ok());
+  EXPECT_TRUE(p.engine->FinishMigration(0).ok());
+  EXPECT_EQ(p.engine->assignment().node_of(0), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -746,7 +749,6 @@ ControlledRun RunControlled(const std::vector<Tuple>& stream, bool kill,
   core::ControllerLoopOptions lopts;
   lopts.period_every_us = period_us;
   lopts.node_capacity_work_units = 1000.0;
-  lopts.use_indirect_migration = true;
   core::ControllerLoop controller(p.engine.get(), &framework, &load_model,
                                   &p.topo, &p.cluster, lopts);
 

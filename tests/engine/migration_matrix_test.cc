@@ -2,15 +2,15 @@
 // that direct, indirect, epoch and lease migrations produce identical
 // final outputs (canonical state, windowed results, tuple counts — and all
 // of them identical to a no-migration baseline) across state sizes (empty
-// group, single key, large FlatMap64 mid-incremental-rehash) and edge
+// group, single key, a large FlatMap64 through several doublings) and edge
 // timings (migration started mid-window with in-flight traffic,
 // back-to-back migrations of the same group, target equal to source).
-// Plus the mode-request contracts: kEpoch without checkpointing falls back
-// to direct, kLease without checkpointing still flips (the arena lease
-// needs no checkpoint subsystem), kIndirect without checkpointing is
-// rejected, a group already mid-migration rejects a second StartMigration,
-// and a lease flip racing a node kill loses no tuples on either side of
-// the stamp.
+// Plus the mode-request contracts: kIndirect and kEpoch without
+// checkpointing fall back to direct, kLease without checkpointing still
+// flips (the arena lease needs no checkpoint subsystem), a failed epoch
+// restore is reported by its own group's Finish, a group already
+// mid-migration rejects a second StartMigration, and a lease flip racing a
+// node kill loses no tuples on either side of the stamp.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics_registry.h"
 #include "engine/checkpoint.h"
 #include "engine/local_engine.h"
 #include "ops/store.h"
@@ -46,8 +47,7 @@ constexpr int kStoreNodes = 3;
 
 struct StoreScenario {
   const char* name;
-  int distinct_keys;        ///< Keys routed into the migrated group.
-  bool incremental_rehash;  ///< Large-state case: migrate mid-rehash.
+  int distinct_keys;  ///< Keys routed into the migrated group.
 };
 
 struct StorePipeline {
@@ -117,7 +117,6 @@ struct StoreRunResult {
 StoreRunResult RunStoreScenario(const StoreScenario& scenario,
                                 bool migrate, MigrationMode mode) {
   StorePipeline p;
-  if (scenario.incremental_rehash) p.sink.SetIncrementalRehash(true);
   const KeyGroupId group = p.topo.first_group(1);  // store group 0
   const std::vector<Tuple> keys = KeysFor(0, scenario.distinct_keys);
   const size_t half = keys.size() / 2;
@@ -182,9 +181,9 @@ TEST_P(MigrationMatrixTest, AllModesMatchTheUnmigratedBaseline) {
 
 INSTANTIATE_TEST_SUITE_P(
     StateSizes, MigrationMatrixTest,
-    ::testing::Values(StoreScenario{"empty_group", 0, false},
-                      StoreScenario{"single_key", 1, false},
-                      StoreScenario{"large_mid_rehash", 3000, true}),
+    ::testing::Values(StoreScenario{"empty_group", 0},
+                      StoreScenario{"single_key", 1},
+                      StoreScenario{"large_state", 3000}),
     [](const ::testing::TestParamInfo<StoreScenario>& info) {
       return info.param.name;
     });
@@ -320,11 +319,14 @@ INSTANTIATE_TEST_SUITE_P(
 // Mode-request contracts: fallback and rejection.
 // ---------------------------------------------------------------------------
 
-TEST(MigrationModeContractTest, EpochWithoutCheckpointingFallsBackToDirect) {
-  // No EnableCheckpointing: a kEpoch request degrades to kDirect — the
-  // move still happens, with direct-mode semantics (tuples buffer, the
-  // pause is O(state)) rather than an error. kIndirect, by contrast, is
-  // an explicit mechanism request and is rejected outright.
+class CheckpointlessFallbackTest
+    : public ::testing::TestWithParam<MigrationMode> {};
+
+TEST_P(CheckpointlessFallbackTest, FallsBackToDirect) {
+  // No EnableCheckpointing: a kIndirect or kEpoch request degrades to
+  // kDirect — there is no chain to restore, so the move still happens, with
+  // direct-mode semantics (tuples buffer, the pause is O(state)) rather
+  // than an error, and it counts as a direct migration.
   engine::Topology topo;
   topo.AddOperator("src", 1);
   topo.AddOperator("store", kStoreGroups, 1 << 14);
@@ -337,8 +339,10 @@ TEST(MigrationModeContractTest, EpochWithoutCheckpointingFallsBackToDirect) {
     assign.set_node(g, g % kStoreNodes);
   }
   ops::StoreSinkOperator sink(kStoreGroups);
+  MetricsRegistry registry;
   engine::LocalEngineOptions opts;
   opts.window_every_us = 0;
+  opts.metrics = &registry;
   engine::LocalEngine engine(
       &topo, &cluster, assign,
       std::vector<engine::StreamOperator*>{nullptr, &sink}, opts);
@@ -349,32 +353,104 @@ TEST(MigrationModeContractTest, EpochWithoutCheckpointingFallsBackToDirect) {
   const KeyGroupId group = topo.first_group(1);
   const NodeId to = (engine.assignment().node_of(group) + 1) % kStoreNodes;
 
-  // kIndirect without checkpointing: rejected.
-  const Status indirect = engine.StartMigration(group, to,
-                                                MigrationMode::kIndirect);
-  EXPECT_EQ(indirect.code(), StatusCode::kInvalidArgument)
-      << indirect.ToString();
-
-  // kEpoch without checkpointing: accepted, with direct semantics — the
-  // in-flight tuple buffers (an epoch move would process it live) and the
-  // pause is the O(state) round-trip, not zero.
-  ASSERT_TRUE(
-      engine.StartMigration(group, to, MigrationMode::kEpoch).ok());
+  // Accepted, with direct semantics: the in-flight tuple buffers (an epoch
+  // move would process it live) and the pause is the O(state) round-trip,
+  // not zero (an indirect move would pay only its suffix).
+  ASSERT_TRUE(engine.StartMigration(group, to, GetParam()).ok());
   ASSERT_TRUE(engine.InjectBatch(0, &keys[32], 1).ok());
   engine.Flush();
   EXPECT_EQ(sink.ValueFor(0, keys[32].key), 0.0);  // buffered, not applied
+  const double state_bytes =
+      static_cast<double>(sink.SerializeGroupState(0).size());
   const auto pause = engine.FinishMigration(group);
   ASSERT_TRUE(pause.ok()) << pause.status().ToString();
-  EXPECT_GT(*pause, 0.0) << "fallback must pay the direct O(state) pause";
+  EXPECT_DOUBLE_EQ(*pause, engine::kEnginePauseUsPerByte * state_bytes)
+      << "fallback must pay the direct O(state) pause";
   EXPECT_EQ(sink.ValueFor(0, keys[32].key), keys[32].num);  // drained
   EXPECT_EQ(engine.assignment().node_of(group), to);
   const engine::EnginePeriodStats stats = engine.HarvestPeriod();
   EXPECT_EQ(stats.tuples_buffered, 1);
+  EXPECT_EQ(registry.Counter("engine_migrations_total", {{"mode", "direct"}})
+                ->value(),
+            1);
+  for (const char* other : {"indirect", "epoch", "lease"}) {
+    EXPECT_EQ(
+        registry.Counter("engine_migrations_total", {{"mode", other}})
+            ->value(),
+        0)
+        << other;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WithoutCheckpointing, CheckpointlessFallbackTest,
+    ::testing::Values(MigrationMode::kIndirect, MigrationMode::kEpoch),
+    [](const ::testing::TestParamInfo<MigrationMode>& info) {
+      return info.param == MigrationMode::kIndirect ? "indirect" : "epoch";
+    });
+
+/// A store sink whose restores fail for one group.
+class RestoreFailingSink : public ops::StoreSinkOperator {
+ public:
+  RestoreFailingSink(int groups, int broken_group)
+      : ops::StoreSinkOperator(groups), broken_group_(broken_group) {}
+  Status DeserializeGroupState(int group_index,
+                               const std::string& data) override {
+    if (group_index == broken_group_) {
+      return Status::Internal("injected restore failure");
+    }
+    return ops::StoreSinkOperator::DeserializeGroupState(group_index, data);
+  }
+
+ private:
+  int broken_group_;
+};
+
+TEST(MigrationModeContractTest, EpochRestoreErrorIsReportedAgainstItsGroup) {
+  // One stamp pass restores two epoch groups; the second group's restore
+  // fails. The healthy group's Finish (called first) must succeed and the
+  // broken group's Finish must return the error — each group's own outcome,
+  // whichever order the caller finishes them in.
+  engine::Topology topo;
+  topo.AddOperator("src", 1);
+  topo.AddOperator("store", kStoreGroups, 1 << 14);
+  ASSERT_TRUE(
+      topo.AddStream(0, 1, engine::PartitioningPattern::kFullPartitioning)
+          .ok());
+  engine::Cluster cluster(kStoreNodes);
+  engine::Assignment assign(topo.num_key_groups());
+  for (KeyGroupId g = 0; g < topo.num_key_groups(); ++g) {
+    assign.set_node(g, g % kStoreNodes);
+  }
+  RestoreFailingSink sink(kStoreGroups, /*broken_group=*/1);
+  engine::LocalEngineOptions opts;
+  opts.window_every_us = 0;
+  engine::LocalEngine engine(
+      &topo, &cluster, assign,
+      std::vector<engine::StreamOperator*>{nullptr, &sink}, opts);
+  engine::MemoryCheckpointStore cstore;
+  engine::CheckpointCoordinatorOptions copts;
+  copts.interval_us = 1LL << 60;
+  engine::CheckpointCoordinator coordinator(&cstore, copts);
+  ASSERT_TRUE(engine.EnableCheckpointing(&coordinator).ok());
+
+  const KeyGroupId healthy = topo.first_group(1);
+  const KeyGroupId broken = topo.first_group(1) + 1;
+  for (const KeyGroupId g : {healthy, broken}) {
+    const NodeId to = (engine.assignment().node_of(g) + 1) % kStoreNodes;
+    ASSERT_TRUE(engine.StartMigration(g, to, MigrationMode::kEpoch).ok());
+  }
+  const auto healthy_pause = engine.FinishMigration(healthy);
+  EXPECT_TRUE(healthy_pause.ok()) << healthy_pause.status().ToString();
+  const auto broken_pause = engine.FinishMigration(broken);
+  ASSERT_FALSE(broken_pause.ok());
+  EXPECT_EQ(broken_pause.status().code(), StatusCode::kInternal)
+      << broken_pause.status().ToString();
 }
 
 TEST(MigrationModeContractTest, LeaseWithoutCheckpointingStillFlips) {
-  // Unlike kEpoch (degrades to direct) and kIndirect (rejected), a kLease
-  // request needs no checkpoint subsystem at all: the state slot never
+  // Unlike kEpoch and kIndirect (both degrade to direct), a kLease request
+  // needs no checkpoint subsystem at all: the state slot never
   // moves, so there is nothing to transfer and nothing to replay. The
   // in-flight tuple processes LIVE at whichever owner the routing names,
   // and the accounted pause is exactly zero.
@@ -420,7 +496,7 @@ TEST(MigrationModeContractTest, LeaseTowardDyingNodeIsCancelledLossFree) {
   // A lease flip racing a kill of its TARGET: the stamp never happened, so
   // the lease table still names the source — FailNode cancels the pending
   // move and the group keeps processing where it is, losing nothing.
-  const StoreScenario scenario{"single_owner", 48, false};
+  const StoreScenario scenario{"single_owner", 48};
   const StoreRunResult baseline =
       RunStoreScenario(scenario, /*migrate=*/false, MigrationMode::kDirect);
 
@@ -458,7 +534,7 @@ TEST(MigrationModeContractTest, LeasedGroupDyingWithNodeRecoversLossFree) {
   // new owner: the lease dies with the node, and recovery goes through
   // checkpoint + replay like any other lost group — zero tuple loss, and
   // never another flip of a dead lease.
-  const StoreScenario scenario{"single_owner", 48, false};
+  const StoreScenario scenario{"single_owner", 48};
   const StoreRunResult baseline =
       RunStoreScenario(scenario, /*migrate=*/false, MigrationMode::kDirect);
 
